@@ -15,10 +15,8 @@ use pdn_nn::linalg::{self, reference, GemmScratch};
 use pdn_nn::linalg_i8::{self, I8GemmScratch};
 use pdn_nn::quant::{self, Precision, QuantizedMatrix};
 use pdn_nn::tensor::Tensor;
-use pdn_sparse::cg::{self, CgOptions, IdentityPreconditioner, JacobiPreconditioner};
-use pdn_sparse::cholesky::SparseCholesky;
+use pdn_sparse::cg::{self, CgOptions, IdentityPreconditioner};
 use pdn_sparse::ichol::IncompleteCholesky;
-use pdn_sparse::mindeg::minimum_degree;
 use pdn_sparse::ordering::reverse_cuthill_mckee;
 use pdn_sparse::supernodal::{FillOrdering, SupernodalCholesky, SymbolicCholesky};
 use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
@@ -40,11 +38,7 @@ fn bench_sparse_solvers(c: &mut Criterion) {
         b.iter(|| IncompleteCholesky::factor(&a).expect("spd"))
     });
     let ic0 = IncompleteCholesky::factor(&a).expect("spd");
-    let jacobi = JacobiPreconditioner::new(&a).expect("spd");
     group.bench_function("cg_ic0", |b| b.iter(|| cg::solve(&a, &rhs, &ic0, &opts).expect("ok")));
-    group.bench_function("cg_jacobi", |b| {
-        b.iter(|| cg::solve(&a, &rhs, &jacobi, &opts).expect("ok"))
-    });
     group.bench_function("cg_identity", |b| {
         b.iter(|| cg::solve(&a, &rhs, &IdentityPreconditioner, &opts).expect("ok"))
     });
@@ -55,42 +49,20 @@ fn bench_sparse_solvers(c: &mut Criterion) {
     let xm = vec![1.0; a.n_cols() * k_rhs];
     let mut ym = vec![0.0; a.n_rows() * k_rhs];
     group.bench_function("spmv_multi4", |b| b.iter(|| a.mul_multi_into(&xm, k_rhs, &mut ym)));
-    // Fill-reducing orderings ahead of the direct factorization.
     group.bench_function("ordering_rcm", |b| b.iter(|| reverse_cuthill_mckee(&a)));
-    group.bench_function("ordering_mindeg", |b| b.iter(|| minimum_degree(&a)));
-    let rcm_fill =
-        SparseCholesky::factor(&a.permute_symmetric(&reverse_cuthill_mckee(&a))).expect("spd").nnz();
-    let md_fill =
-        SparseCholesky::factor(&a.permute_symmetric(&minimum_degree(&a))).expect("spd").nnz();
-    println!("\ndirect-factor fill-in: rcm {rcm_fill} nnz, min-degree {md_fill} nnz");
 
-    // Simplicial vs supernodal numeric factorization. The Tiny-scale
-    // matrix above is too small for panels to pay off, so these entries
-    // use a Ci-scale grid (~21 k nodes) — still fast enough for quick
-    // mode, big enough that the factor is GEMM-bound. Both sides use the
-    // same min-degree ordering (the simplicial factor consumes the
-    // permuted matrix, the supernodal analysis is forced to min-degree),
-    // so the delta isolates the numeric phase's panel restructuring.
+    // The direct factor. The Tiny-scale matrix above is too small for
+    // panels to pay off, so these entries use a Ci-scale grid (~21 k
+    // nodes) — still fast enough for quick mode, big enough that the
+    // factor is GEMM-bound. AMD is the ordering `analyze` picks on it:
+    // the quotient-graph ordering plus its symbolic analysis (the pair
+    // `analyze` runs per candidate), then the numeric factor it produces.
     let grid_ci = DesignPreset::D4.spec(pdn_grid::design::DesignScale::Ci).build(7).expect("ci");
     let mut coo_ci = stamp::conductance_coo(&grid_ci);
     for b in grid_ci.bumps() {
         coo_ci.push(b.node.index(), b.node.index(), 1.0 / b.resistance.0);
     }
     let a = coo_ci.to_csr();
-    let md_perm = minimum_degree(&a);
-    let a_md = a.permute_symmetric(&md_perm);
-    group.bench_function("cholesky_factor_simplicial", |b| {
-        b.iter(|| SparseCholesky::factor(&a_md).expect("spd"))
-    });
-    let sym = std::sync::Arc::new(
-        SymbolicCholesky::analyze_with(&a, FillOrdering::MinimumDegree).expect("spd"),
-    );
-    group.bench_function("cholesky_factor_supernodal", |b| {
-        b.iter(|| SupernodalCholesky::factor_with(sym.clone(), &a).expect("spd"))
-    });
-    // AMD on the same Ci-scale matrix: the quotient-graph ordering plus
-    // its symbolic analysis (the pair `analyze` runs per candidate), and
-    // the numeric factor it produces.
     group.bench_function("cholesky_analyze_amd", |b| {
         b.iter(|| SymbolicCholesky::analyze_with(&a, FillOrdering::Amd).expect("spd"))
     });
@@ -101,7 +73,7 @@ fn bench_sparse_solvers(c: &mut Criterion) {
     });
     // Blocked multi-RHS solve vs K sequential single-vector solves against
     // the same factor (K = 16, the transient batch width that matters).
-    let chol = SupernodalCholesky::factor_with(sym.clone(), &a).expect("spd");
+    let chol = SupernodalCholesky::factor_with(sym_amd, &a).expect("spd");
     let k_sweep = 16usize;
     let n = a.n_rows();
     let rhs16: Vec<f64> =

@@ -7,12 +7,20 @@
 //! deliberately out of scope: clients are `curl`, test harnesses and
 //! fleet-internal callers.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest accepted request body. Vector CSVs for even the full-scale
 /// designs are far below this; the cap bounds memory per connection against
 /// hostile or broken clients.
 pub const MAX_BODY_BYTES: usize = 16 << 20;
+
+/// Longest accepted request line or header line, line ending included.
+/// Bounds the memory a client can make the head cost before it sends a
+/// newline.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 100;
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -41,13 +49,13 @@ impl Request {
 ///
 /// # Errors
 ///
-/// `InvalidData` for malformed request lines, headers, or bodies larger
+/// `InvalidData` for malformed request lines or headers, lines longer than
+/// [`MAX_LINE_BYTES`], more than [`MAX_HEADERS`] headers, or bodies larger
 /// than [`MAX_BODY_BYTES`]; propagates transport errors.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let Some(line) = read_head_line(reader)? else {
         return Ok(None);
-    }
+    };
     let mut parts = line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) => (m.to_string(), p.to_string(), v),
@@ -65,13 +73,15 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut headers: Vec<(String, String)> = Vec::new();
     let mut content_length: usize = 0;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let Some(header) = read_head_line(reader)? else {
             return Err(bad("connection closed mid-headers"));
-        }
+        };
         let header = header.trim_end_matches(['\r', '\n']);
         if header.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(bad(format!("more than {MAX_HEADERS} headers")));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(bad(format!("malformed header {header:?}")));
@@ -92,8 +102,22 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     }
 
     let mut body = vec![0u8; content_length];
-    io::Read::read_exact(reader, &mut body)?;
+    reader.read_exact(&mut body)?;
     Ok(Some(Request { method, path, query, headers, body }))
+}
+
+/// Reads one line of the request head, ending included, reading at most
+/// [`MAX_LINE_BYTES`]. Returns `Ok(None)` on EOF before any byte.
+fn read_head_line<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let limit = MAX_LINE_BYTES as u64;
+    if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+        return Err(bad(format!("request head line exceeds {MAX_LINE_BYTES} bytes")));
+    }
+    String::from_utf8(line).map(Some).map_err(|_| bad("request head is not UTF-8"))
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -201,6 +225,40 @@ mod tests {
         assert!(read_request(&mut BufReader::new(oversized.as_bytes())).is_err());
         let truncated = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
         assert!(read_request(&mut BufReader::new(&truncated[..])).is_err());
+    }
+
+    #[test]
+    fn rejects_an_unterminated_request_line_past_the_limit() {
+        // A 1 MiB request line with no newline must fail after reading at
+        // most MAX_LINE_BYTES, not buffer the whole line.
+        let mut raw = b"GET /".to_vec();
+        raw.resize(1 << 20, b'a');
+        let mut reader = BufReader::new(&raw[..]);
+        let err = read_request(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let consumed = raw.len() - reader.get_ref().len() - reader.buffer().len();
+        assert!(consumed <= MAX_LINE_BYTES, "consumed {consumed} bytes of the line");
+        // A header line is held to the same limit; a line exactly at it is
+        // still accepted.
+        let long = format!("GET / HTTP/1.1\r\nX-Long: {}\r\n\r\n", "b".repeat(MAX_LINE_BYTES));
+        assert!(read_request(&mut BufReader::new(long.as_bytes())).is_err());
+        let fits = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "b".repeat(MAX_LINE_BYTES - 5));
+        assert!(read_request(&mut BufReader::new(fits.as_bytes())).unwrap().is_some());
+    }
+
+    #[test]
+    fn caps_the_header_count() {
+        let request = |headers: usize| {
+            let mut raw = String::from("GET / HTTP/1.1\r\n");
+            for i in 0..headers {
+                raw.push_str(&format!("X-H{i}: v\r\n"));
+            }
+            raw.push_str("\r\n");
+            read_request(&mut BufReader::new(raw.as_bytes()))
+        };
+        assert_eq!(request(MAX_HEADERS).unwrap().unwrap().headers.len(), MAX_HEADERS);
+        let err = request(MAX_HEADERS + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

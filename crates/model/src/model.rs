@@ -154,39 +154,27 @@ impl WnvModel {
 
         // Fusion subnet: its cache only covers the last map, so re-run the
         // forward per map before its backward (recompute-instead-of-store).
-        // Like the forward pass, the per-map work is independent: process
-        // chunks on zero-grad clones and merge the accumulated gradients.
+        // Sequences of 8 or more maps accumulate on one zero-grad clone,
+        // merged once; shorter ones accumulate in place. Either order is
+        // fixed, so the gradients (and the trained bundle) do not depend on
+        // the thread-pool width.
         let per_map = cache.stats.backward(&cache.fused, g_max, g_mean, g_msd);
         let pairs: Vec<(&Tensor, &Tensor)> =
             cache.padded_currents.iter().zip(&per_map).collect();
         if pairs.len() >= 8 {
-            let proto = {
-                let mut p = self.fusion_net.clone();
-                p.zero_grad();
-                p
-            };
-            let threads = rayon::current_num_threads().max(1);
-            let chunk = pairs.len().div_ceil(threads);
-            let grad_sets: Vec<Vec<Tensor>> = pairs
-                .par_chunks(chunk)
-                .map(|chunk| {
-                    let mut net = proto.clone();
-                    for (map, gmap) in chunk {
-                        let _ = net.forward(map);
-                        let _ = net.backward(gmap);
-                    }
-                    let mut grads = Vec::new();
-                    net.visit_params(&mut |p| grads.push(p.grad.clone()));
-                    grads
-                })
-                .collect();
-            for gs in grad_sets {
-                let mut i = 0;
-                self.fusion_net.visit_params(&mut |p| {
-                    p.grad.add_assign(&gs[i]);
-                    i += 1;
-                });
+            let mut net = self.fusion_net.clone();
+            net.zero_grad();
+            for (map, gmap) in pairs {
+                let _ = net.forward(map);
+                let _ = net.backward(gmap);
             }
+            let mut grads = Vec::new();
+            net.visit_params(&mut |p| grads.push(p.grad.clone()));
+            let mut i = 0;
+            self.fusion_net.visit_params(&mut |p| {
+                p.grad.add_assign(&grads[i]);
+                i += 1;
+            });
         } else {
             for (map, gmap) in pairs {
                 let _ = self.fusion_net.forward(map);

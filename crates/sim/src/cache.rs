@@ -727,6 +727,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_identical() {
+        let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("roundtrip");
         let first = cache.run_group(&runner, &grid, &vectors).unwrap();
@@ -743,6 +744,7 @@ mod tests {
 
     #[test]
     fn second_run_hits_and_skips_simulation() {
+        let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("hits");
         pdn_core::telemetry::reset();
@@ -765,6 +767,7 @@ mod tests {
 
     #[test]
     fn changing_one_vector_resimulates_only_it() {
+        let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("partial");
         let solo: Vec<NoiseReport> =
@@ -794,6 +797,7 @@ mod tests {
 
     #[test]
     fn key_changes_with_inputs() {
+        let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let base = cache_key(&grid, &vectors[0], &runner);
         // Different vector bytes.
@@ -810,6 +814,7 @@ mod tests {
 
     #[test]
     fn corrupt_entry_falls_back_to_simulation() {
+        let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("corrupt");
         let first = cache.run_group(&runner, &grid, &vectors).unwrap();
@@ -835,6 +840,7 @@ mod tests {
 
     #[test]
     fn truncated_entries_rejected_at_every_offset() {
+        let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("truncate");
         let report = runner.run(&vectors[0]).unwrap();
@@ -856,6 +862,7 @@ mod tests {
 
     #[test]
     fn stats_counts_only_entries() {
+        let _serial = crate::telemetry_test_lock();
         let (_, runner, vectors) = fixture();
         let cache = tmp_cache("stats");
         let report = runner.run(&vectors[0]).unwrap();
@@ -876,6 +883,7 @@ mod tests {
 
     #[test]
     fn gc_evicts_by_age_then_size_oldest_first() {
+        let _serial = crate::telemetry_test_lock();
         let (_, runner, vectors) = fixture();
         let cache = tmp_cache("gc");
         let report = runner.run(&vectors[0]).unwrap();
@@ -915,6 +923,7 @@ mod tests {
 
     #[test]
     fn entry_under_wrong_address_rejected() {
+        let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let report = runner.run(&vectors[0]).unwrap();
         let key = cache_key(&grid, &vectors[0], &runner);

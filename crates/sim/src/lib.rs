@@ -16,8 +16,9 @@
 //!
 //! where `g_b = 1 / (R_b + L_b/Δt)` is the companion conductance of bump
 //! `b`'s series-RL package branch and `i_b` its branch-current state. The
-//! constant matrix is factored (IC(0)) once per design and every step is a
-//! warm-started preconditioned-CG solve.
+//! constant matrix is prepared once per design — its IC(0) preconditioner
+//! for the default warm-started CG, or its supernodal Cholesky factor for
+//! the direct solver — and every step is one solve against it.
 //!
 //! * [`transient::TransientSimulator`] — the time-marching engine;
 //! * [`static_ir::StaticAnalysis`] — DC IR-drop solve (resistive only);
@@ -46,6 +47,15 @@ pub mod transient;
 pub mod wnv;
 
 pub use cache::{CacheKey, CacheStats, GcReport, WnvCache};
+
+/// Serializes the unit tests that simulate or use the ground-truth cache.
+/// They record into the process-global telemetry registry, and some assert
+/// exact counter values, so their windows must not overlap.
+#[cfg(test)]
+pub(crate) fn telemetry_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 pub use error::{SimError, SimResult};
 pub use probe::{ProbeSet, ProbeTrace};
 pub use static_ir::StaticAnalysis;

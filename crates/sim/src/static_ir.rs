@@ -95,7 +95,7 @@ impl StaticAnalysis {
             });
         }
         let mut rhs = vec![0.0; self.node_count];
-        for (&(node, g), _) in self.bump_g.iter().zip(std::iter::repeat(())) {
+        for &(node, g) in &self.bump_g {
             rhs[node] += g * self.vdd.0;
         }
         for (&node, &i) in self.load_nodes.iter().zip(load_currents) {

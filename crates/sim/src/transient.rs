@@ -50,9 +50,10 @@ pub struct TransientStats {
 
 /// The time-marching simulator for one grid.
 ///
-/// Assembles `A = G + C/Δt + Σ g_b` once (the constant matrix of paper §2),
-/// factors the IC(0) preconditioner once, and then solves one warm-started
-/// CG system per time stamp.
+/// Assembles `A = G + C/Δt + Σ g_b` once (the constant matrix of paper §2)
+/// and prepares its [`SolverKind`] once: the IC(0) preconditioner for
+/// warm-started CG (the default), or the supernodal Cholesky factor for
+/// the direct path. Each time stamp then costs one solve against `A`.
 ///
 /// # Example
 ///
@@ -189,7 +190,6 @@ impl TransientSimulator {
         }
     }
 
-    /// Nominal supply voltage.
     /// The solver strategy this engine was built with.
     pub fn solver_kind(&self) -> SolverKind {
         match self.solver {
@@ -218,6 +218,7 @@ impl TransientSimulator {
         }
     }
 
+    /// Nominal supply voltage.
     pub fn vdd(&self) -> Volts {
         Volts(self.vdd)
     }

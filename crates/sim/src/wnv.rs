@@ -242,6 +242,7 @@ mod tests {
         // Eq. (2): the max over the tile map equals the global max over
         // nodes and time. Track both independently.
         let g = grid();
+        let _serial = crate::telemetry_test_lock();
         let runner = WnvRunner::new(&g).unwrap();
         let v = Scenario::IdleThenBurst.render(&g, 60);
         let report = runner.run(&v).unwrap();
@@ -262,6 +263,7 @@ mod tests {
     #[test]
     fn worst_noise_nonnegative() {
         let g = grid();
+        let _serial = crate::telemetry_test_lock();
         let runner = WnvRunner::new(&g).unwrap();
         let gen = VectorGenerator::new(&g, GeneratorConfig { steps: 80, ..Default::default() });
         let report = runner.run(&gen.generate(3)).unwrap();
@@ -271,6 +273,7 @@ mod tests {
     #[test]
     fn hotspot_extraction_consistent() {
         let g = grid();
+        let _serial = crate::telemetry_test_lock();
         let runner = WnvRunner::new(&g).unwrap();
         let report = runner.run(&Scenario::IdleThenBurst.render(&g, 80)).unwrap();
         let thr = Volts(report.worst_noise.mean());
@@ -301,6 +304,7 @@ mod tests {
     #[test]
     fn more_current_more_noise() {
         let g = grid();
+        let _serial = crate::telemetry_test_lock();
         let runner = WnvRunner::new(&g).unwrap();
         let burst = runner.run(&Scenario::IdleThenBurst.render(&g, 80)).unwrap();
         let steady = runner.run(&Scenario::UniformSteady.render(&g, 80)).unwrap();
@@ -310,6 +314,7 @@ mod tests {
     #[test]
     fn group_run_matches_individual_runs() {
         let g = grid();
+        let _serial = crate::telemetry_test_lock();
         let runner = WnvRunner::new(&g).unwrap();
         let gen = VectorGenerator::new(&g, GeneratorConfig { steps: 40, ..Default::default() });
         let vectors = gen.generate_group(2, 5);
@@ -324,6 +329,7 @@ mod tests {
         // 5 vectors = one full DEFAULT_BATCH chunk plus a remainder chunk,
         // so both the lockstep path and the chunking seams are exercised.
         let g = grid();
+        let _serial = crate::telemetry_test_lock();
         let runner = WnvRunner::new(&g).unwrap();
         let gen = VectorGenerator::new(&g, GeneratorConfig { steps: 30, ..Default::default() });
         let vectors = gen.generate_group(5, 11);
@@ -344,6 +350,7 @@ mod tests {
     #[test]
     fn mixed_step_counts_fall_back_to_per_vector_runs() {
         let g = grid();
+        let _serial = crate::telemetry_test_lock();
         let runner = WnvRunner::new(&g).unwrap();
         let short = Scenario::IdleThenBurst.render(&g, 20);
         let long = Scenario::IdleThenBurst.render(&g, 35);

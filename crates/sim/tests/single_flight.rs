@@ -12,10 +12,18 @@ use pdn_sim::wnv::{NoiseReport, WnvRunner};
 use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
 use std::collections::HashMap;
 use std::io;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
+
+/// Serializes this binary's tests: both simulate, and the first asserts
+/// exact values of the process-global counters those simulations record.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn racing_misses_on_one_key_simulate_and_store_once() {
+    let _serial = serial();
     let grid = DesignPreset::D1.spec(DesignScale::Tiny).build(1).unwrap();
     let gen = VectorGenerator::new(&grid, GeneratorConfig { steps: 30, ..Default::default() });
     let vectors = gen.generate_group(1, 17);
@@ -95,6 +103,7 @@ impl CacheStore for MemStore {
 
 #[test]
 fn run_group_store_works_against_a_non_filesystem_backend() {
+    let _serial = serial();
     let grid = DesignPreset::D1.spec(DesignScale::Tiny).build(1).unwrap();
     let runner = WnvRunner::new(&grid).unwrap();
     let gen = VectorGenerator::new(&grid, GeneratorConfig { steps: 30, ..Default::default() });

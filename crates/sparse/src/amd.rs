@@ -2,7 +2,7 @@
 //!
 //! The quotient-graph formulation of minimum degree, after Amestoy, Davis
 //! and Duff: eliminating a pivot does not form its clique explicitly (the
-//! quadratic step that caps [`crate::mindeg::minimum_degree`] at ~16 k
+//! quadratic step that caps an explicit-clique minimum degree at ~16 k
 //! nodes) — it records the clique as an *element* whose member list is the
 //! pivot's pattern. A variable's adjacency is then its remaining original
 //! edges plus the elements it belongs to, and three classic refinements
@@ -444,14 +444,56 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::cholesky::SparseCholesky;
     use crate::coo::CooMatrix;
-    use crate::mindeg::minimum_degree;
+    use crate::dense::DenseMatrix;
     use crate::ordering::reverse_cuthill_mckee;
+    use crate::supernodal::predicted_factor_nnz;
     use proptest::prelude::*;
     use rand::{Rng as _, SeedableRng as _};
+
+    /// Eliminates the graph of the symmetric `a` on a dense adjacency
+    /// matrix, in `order` (`order[step] = vertex`) when given, else
+    /// greedily by minimum (degree, vertex) — exact minimum degree.
+    /// Returns the fill it produces, nnz(L) with the diagonal: the
+    /// reference count for the sparse symbolic passes.
+    pub(crate) fn dense_elimination(a: &CsrMatrix, order: Option<&[usize]>) -> usize {
+        let n = a.n_rows();
+        let mut adj = vec![vec![false; n]; n];
+        for (r, row) in adj.iter_mut().enumerate() {
+            for &c in a.row(r).0 {
+                row[c] = c != r;
+            }
+        }
+        let mut degree: Vec<usize> =
+            adj.iter().map(|row| row.iter().filter(|&&e| e).count()).collect();
+        let mut alive = vec![true; n];
+        let mut nnz = n;
+        for step in 0..n {
+            let v = match order {
+                Some(order) => order[step],
+                None => (0..n)
+                    .filter(|&u| alive[u])
+                    .min_by_key(|&u| (degree[u], u))
+                    .expect("vertices remain"),
+            };
+            alive[v] = false;
+            let nbrs: Vec<usize> = (0..n).filter(|&u| alive[u] && adj[v][u]).collect();
+            nnz += nbrs.len();
+            for &x in &nbrs {
+                adj[x][v] = false;
+                degree[x] -= 1;
+                for &y in &nbrs {
+                    if y != x && !adj[x][y] {
+                        adj[x][y] = true;
+                        degree[x] += 1;
+                    }
+                }
+            }
+        }
+        nnz
+    }
 
     fn grid_laplacian(rows: usize, cols: usize) -> CsrMatrix {
         let idx = |r: usize, c: usize| r * cols + c;
@@ -536,12 +578,9 @@ mod tests {
         // The point of the algorithm: dramatically less fill than RCM on
         // meshes, and in the same class as exact minimum degree.
         let a = grid_laplacian(24, 24);
-        let nnz_of = |perm: &[usize]| {
-            SparseCholesky::factor(&a.permute_symmetric(perm)).expect("spd").nnz()
-        };
-        let amd_fill = nnz_of(&amd(&a));
-        let rcm_fill = nnz_of(&reverse_cuthill_mckee(&a));
-        let md_fill = nnz_of(&minimum_degree(&a));
+        let amd_fill = predicted_factor_nnz(&a, &amd(&a));
+        let rcm_fill = predicted_factor_nnz(&a, &reverse_cuthill_mckee(&a));
+        let md_fill = dense_elimination(&a, None);
         assert!(amd_fill < rcm_fill, "amd {amd_fill} should beat rcm {rcm_fill}");
         assert!(
             amd_fill as f64 <= md_fill as f64 * 1.2,
@@ -614,12 +653,13 @@ mod tests {
 
         #[test]
         fn factorization_succeeds_under_amd_order(n in 2usize..40, seed in 0u64..200) {
-            // The permuted matrix must stay factorable and solve correctly:
-            // an invalid order (or one that confuses the symbolic pass)
-            // would surface here.
+            // The permuted matrix must stay factorable and the permuted
+            // solve must round-trip: an invalid order would surface here.
             let a = random_symmetric_pattern(n, seed, 0.3);
             let perm = amd(&a);
-            let chol = SparseCholesky::factor(&a.permute_symmetric(&perm)).unwrap();
+            let rows = a.permute_symmetric(&perm).to_dense();
+            let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+            let chol = DenseMatrix::from_rows(&rows).cholesky().unwrap();
             let x_true: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
             let b = a.mul_vec(&x_true);
             let pb: Vec<f64> = perm.iter().map(|&old| b[old]).collect();

@@ -44,26 +44,10 @@ pub trait Preconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]);
 
     /// Applies the preconditioner to `k` interleaved vectors
-    /// (`r[i * k + t]` is entry `i` of vector `t`).
-    ///
-    /// The default de-interleaves and calls [`apply`](Self::apply) per
-    /// vector; implementations with streamable state (e.g. IC(0)) override
-    /// this to pay their memory traffic once per block. Either way each
-    /// column must be bitwise identical to a single-vector `apply`.
-    fn apply_multi(&self, r: &[f64], z: &mut [f64], k: usize) {
-        assert!(k > 0, "apply_multi: k must be positive");
-        assert_eq!(r.len(), z.len(), "apply_multi: length mismatch");
-        let n = r.len() / k;
-        let mut rt = vec![0.0; n];
-        let mut zt = vec![0.0; n];
-        for t in 0..k {
-            crate::vecops::deinterleave_into(r, k, t, &mut rt);
-            self.apply(&rt, &mut zt);
-            for i in 0..n {
-                z[i * k + t] = zt[i];
-            }
-        }
-    }
+    /// (`r[i * k + t]` is entry `i` of vector `t`), paying the
+    /// preconditioner's memory traffic once per block. Each column must be
+    /// bitwise identical to a single-vector [`apply`](Self::apply).
+    fn apply_multi(&self, r: &[f64], z: &mut [f64], k: usize);
 }
 
 /// No preconditioning (`M = I`).
@@ -77,46 +61,6 @@ impl Preconditioner for IdentityPreconditioner {
 
     fn apply_multi(&self, r: &[f64], z: &mut [f64], _k: usize) {
         z.copy_from_slice(r);
-    }
-}
-
-/// Diagonal (Jacobi) preconditioning: `z_i = r_i / A_ii`.
-#[derive(Debug, Clone)]
-pub struct JacobiPreconditioner {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPreconditioner {
-    /// Builds the preconditioner from the matrix diagonal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NotPositiveDefinite`] if any diagonal entry is
-    /// not strictly positive.
-    pub fn new(a: &CsrMatrix) -> SparseResult<JacobiPreconditioner> {
-        let diag = a.diagonal();
-        for (i, &d) in diag.iter().enumerate() {
-            if d <= 0.0 {
-                return Err(SolveError::NotPositiveDefinite { row: i, pivot: d });
-            }
-        }
-        Ok(JacobiPreconditioner { inv_diag: diag.into_iter().map(|d| 1.0 / d).collect() })
-    }
-}
-
-impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
-    }
-
-    fn apply_multi(&self, r: &[f64], z: &mut [f64], k: usize) {
-        for ((zb, rb), di) in z.chunks_mut(k).zip(r.chunks(k)).zip(&self.inv_diag) {
-            for t in 0..k {
-                zb[t] = rb[t] * di;
-            }
-        }
     }
 }
 
@@ -573,7 +517,6 @@ mod tests {
 
         for (name, sol) in [
             ("identity", solve(&a, &b, &IdentityPreconditioner, &opts).unwrap()),
-            ("jacobi", solve(&a, &b, &JacobiPreconditioner::new(&a).unwrap(), &opts).unwrap()),
             ("ic0", solve(&a, &b, &IncompleteCholesky::factor(&a).unwrap(), &opts).unwrap()),
         ] {
             for (xi, ti) in sol.x.iter().zip(&x_true) {
@@ -666,11 +609,10 @@ mod tests {
         let k = 4;
         let rhs = batch_rhs(n, k);
         let opts = CgOptions::default();
-        for pre_name in ["ic0", "jacobi", "identity"] {
+        for pre_name in ["ic0", "identity"] {
             let run = |b: &[f64], x: &mut [f64]| -> (usize, f64) {
                 match pre_name {
                     "ic0" => solve_warm(&a, b, x, &IncompleteCholesky::factor(&a).unwrap(), &opts),
-                    "jacobi" => solve_warm(&a, b, x, &JacobiPreconditioner::new(&a).unwrap(), &opts),
                     _ => solve_warm(&a, b, x, &IdentityPreconditioner, &opts),
                 }
                 .unwrap()
@@ -683,14 +625,6 @@ mod tests {
                         x,
                         k,
                         &IncompleteCholesky::factor(&a).unwrap(),
-                        &opts,
-                    ),
-                    "jacobi" => solve_warm_multi(
-                        &a,
-                        b,
-                        x,
-                        k,
-                        &JacobiPreconditioner::new(&a).unwrap(),
                         &opts,
                     ),
                     _ => solve_warm_multi(&a, b, x, k, &IdentityPreconditioner, &opts),

@@ -219,11 +219,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Main diagonal as a dense vector (zeros where absent).
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.n_rows.min(self.n_cols)).map(|i| self.get(i, i)).collect()
-    }
-
     /// Whether the matrix is numerically symmetric within `tol`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.n_rows != self.n_cols {
@@ -385,12 +380,6 @@ mod tests {
         coo.push(0, 0, 1.0);
         coo.push(1, 1, 1.0);
         assert!(!coo.to_csr().is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn diagonal_extraction() {
-        let a = laplacian_path(3);
-        assert_eq!(a.diagonal(), vec![2.0, 2.0, 2.0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! For the M-matrices produced by PDN stamping, IC(0) never breaks down and
 //! reduces conjugate-gradient iteration counts by an order of magnitude
-//! compared to Jacobi, which is what makes repeated transient solves (one per
-//! time stamp, paper §2) affordable.
+//! compared to unpreconditioned CG, which is what makes repeated transient
+//! solves (one per time stamp, paper §2) affordable.
 
 use crate::cg::Preconditioner;
 use crate::csr::CsrMatrix;

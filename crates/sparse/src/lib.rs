@@ -9,17 +9,15 @@
 //!   mat-vec;
 //! * [`dense::DenseMatrix`] — dense fallback with Cholesky, used for small
 //!   systems and for cross-checking the sparse paths in tests;
-//! * [`cholesky::SparseCholesky`] — elimination-tree sparse direct
-//!   Cholesky for the repeated-solve pattern of transient analysis;
 //! * [`supernodal::SupernodalCholesky`] — supernodal Cholesky with dense
-//!   column panels driven by the [`panel`] GEMM/TRSM kernels: the
-//!   paper-scale factor-once/solve-many path, with an analyze/factor/
-//!   refactor split and threaded multi-RHS sweeps;
+//!   column panels driven by the [`panel`] GEMM/TRSM kernels: the direct
+//!   factor-once/solve-many path, with an analyze/factor/refactor split
+//!   and threaded multi-RHS sweeps;
 //! * [`ichol::IncompleteCholesky`] — zero-fill IC(0) preconditioner;
-//! * [`cg`] — preconditioned conjugate gradient, the workhorse solver;
-//! * [`ordering`] / [`mindeg`] / [`amd`] — reverse Cuthill–McKee,
-//!   explicit-clique minimum-degree, and quotient-graph approximate
-//!   minimum degree (the paper-scale fill-reducing ordering).
+//! * [`cg`] — preconditioned conjugate gradient, the default solver;
+//! * [`ordering`] / [`amd`] — reverse Cuthill–McKee and quotient-graph
+//!   approximate minimum degree, the two fill-reducing orderings the
+//!   direct path chooses between by predicted fill.
 //!
 //! # Example
 //!
@@ -43,20 +41,17 @@
 
 pub mod amd;
 pub mod cg;
-pub mod cholesky;
 pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod ichol;
-pub mod mindeg;
 pub mod ordering;
 pub mod panel;
 pub mod supernodal;
 pub mod vecops;
 
 pub use cg::{CgOptions, CgSolution};
-pub use cholesky::SparseCholesky;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::{SolveError, SparseResult};

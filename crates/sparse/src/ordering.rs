@@ -133,6 +133,20 @@ mod tests {
     }
 
     #[test]
+    fn rcm_reduces_fill_on_shuffled_grid() {
+        use crate::supernodal::predicted_factor_nnz;
+        let a = grid_laplacian(12, 12);
+        let n = a.n_rows();
+        // Scramble, then compare fill with and without RCM.
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.sort_by_key(|&v| (v * 37) % n);
+        let shuffled = a.permute_symmetric(&perm);
+        let plain = predicted_factor_nnz(&shuffled, &(0..n).collect::<Vec<_>>());
+        let rcm = predicted_factor_nnz(&shuffled, &reverse_cuthill_mckee(&shuffled));
+        assert!(rcm < plain, "rcm fill {rcm} should beat shuffled fill {plain}");
+    }
+
+    #[test]
     fn handles_disconnected_graphs() {
         let mut coo = CooMatrix::new(4, 4);
         for i in 0..4 {

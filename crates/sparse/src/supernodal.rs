@@ -2,10 +2,10 @@
 //! direct path.
 //!
 //! The transient ground truth is one SPD matrix with thousands of
-//! right-hand sides (paper §2). The simplicial up-looking factorization in
-//! [`crate::cholesky`] re-walks the elimination tree for every row and
-//! scatters scalars; at paper scale (0.58 M–4.4 M nodes) that leaves nearly
-//! all the machine's floating-point width idle. This module instead:
+//! right-hand sides (paper §2). A simplicial factorization re-walks the
+//! elimination tree for every row and scatters scalars; at paper scale
+//! (0.58 M–4.4 M nodes) that leaves nearly all the machine's floating-point
+//! width idle. This module instead:
 //!
 //! 1. **analyzes once** per grid structure ([`SymbolicCholesky::analyze`]):
 //!    picks a fill-reducing ordering at runtime (AMD vs RCM by predicted
@@ -30,10 +30,8 @@
 //! numbering.
 
 use crate::amd::amd;
-use crate::cholesky::elimination_tree;
 use crate::csr::CsrMatrix;
 use crate::error::{SolveError, SparseResult};
-use crate::mindeg::minimum_degree;
 use crate::ordering::reverse_cuthill_mckee;
 use crate::panel;
 use std::sync::Arc;
@@ -66,12 +64,8 @@ pub enum FillOrdering {
     /// Reverse Cuthill–McKee: linear-time, bandwidth-oriented; the
     /// fallback when its predicted fill beats AMD's (rare on meshes).
     Rcm,
-    /// Greedy explicit-clique minimum degree: excellent fill, but the
-    /// implementation turns quadratic past its bitset fast path (~16 k
-    /// nodes), so it is opt-in rather than auto-selected.
-    MinimumDegree,
     /// Approximate minimum degree ([`crate::amd`]): quotient-graph
-    /// complexity with near-mindeg fill — the paper-scale default
+    /// complexity with near-minimum-degree fill — the paper-scale default
     /// whenever its predicted fill wins.
     Amd,
 }
@@ -82,18 +76,17 @@ impl FillOrdering {
         match self {
             FillOrdering::Natural => "natural",
             FillOrdering::Rcm => "rcm",
-            FillOrdering::MinimumDegree => "mindeg",
             FillOrdering::Amd => "amd",
         }
     }
 
     /// Stable numeric id for the `factor.ordering` telemetry gauge
-    /// (gauges carry `f64`, so the name itself cannot be exported).
+    /// (gauges carry `f64`, so the name itself cannot be exported). Index 2
+    /// is retired and never reused, so recorded gauges keep their meaning.
     pub fn telemetry_index(self) -> usize {
         match self {
             FillOrdering::Natural => 0,
             FillOrdering::Rcm => 1,
-            FillOrdering::MinimumDegree => 2,
             FillOrdering::Amd => 3,
         }
     }
@@ -189,7 +182,6 @@ impl SymbolicCholesky {
         let p0: Vec<usize> = match ordering {
             FillOrdering::Natural => (0..n).collect(),
             FillOrdering::Rcm => reverse_cuthill_mckee(a),
-            FillOrdering::MinimumDegree => minimum_degree(a),
             FillOrdering::Amd => amd(a),
         };
         SymbolicCholesky::analyze_perm(a, ordering, p0)
@@ -406,8 +398,8 @@ impl SymbolicCholesky {
         *self.panel_ptr.last().unwrap_or(&0)
     }
 
-    /// Non-zeros of the factor's lower trapezoids — comparable to
-    /// [`crate::cholesky::SparseCholesky::nnz`] plus amalgamation padding.
+    /// Non-zeros of the factor's lower trapezoids: the exact fill of `L`
+    /// under this analysis's ordering plus amalgamation padding.
     pub fn factor_nnz(&self) -> usize {
         self.factor_nnz
     }
@@ -548,10 +540,10 @@ impl SupernodalCholesky {
     }
 
     /// Solves `A X = B` for `k` interleaved right-hand sides (entry `i` of
-    /// vector `t` at `x[i * k + t]`, matching
-    /// [`crate::cholesky::SparseCholesky::solve_multi_in_place`]). Every
-    /// panel is streamed once per block instead of once per vector, and
-    /// per-vector operations run in the same order as a `k = 1` solve, so
+    /// vector `t` at `x[i * k + t]`, the layout of
+    /// [`crate::vecops::interleave`]). Every panel is streamed once per
+    /// block instead of once per vector, and per-vector operations run in
+    /// the same order as a `k = 1` solve, so
     /// each vector's result is bitwise identical to a separate
     /// [`SupernodalCholesky::solve_in_place`].
     ///
@@ -910,6 +902,31 @@ fn sorted_union(a: &[usize], b: &[usize], out: &mut Vec<usize>) {
     out.extend_from_slice(&b[j..]);
 }
 
+/// Computes the elimination tree of a symmetric matrix (upper triangle
+/// read via the row pattern). `parent[j] == usize::MAX` marks a root.
+fn elimination_tree(a: &CsrMatrix) -> Vec<usize> {
+    let n = a.n_rows();
+    let mut parent = vec![usize::MAX; n];
+    let mut ancestor = vec![usize::MAX; n];
+    for k in 0..n {
+        let (cols, _) = a.row(k);
+        for &i in cols.iter().filter(|&&i| i < k) {
+            // Walk from i up to the root, path-compressing to k.
+            let mut j = i;
+            while ancestor[j] != usize::MAX && ancestor[j] != k {
+                let next = ancestor[j];
+                ancestor[j] = k;
+                j = next;
+            }
+            if ancestor[j] == usize::MAX {
+                ancestor[j] = k;
+                parent[j] = k;
+            }
+        }
+    }
+    parent
+}
+
 /// Postorders an elimination forest (`parent[j] == usize::MAX` marks
 /// roots); returns `post` with `post[new] = old`. Children and roots are
 /// visited in ascending order, so the result is deterministic.
@@ -995,8 +1012,9 @@ pub fn predicted_factor_nnz(a: &CsrMatrix, perm: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cholesky::SparseCholesky;
+    use crate::amd::tests::dense_elimination;
     use crate::coo::CooMatrix;
+    use crate::dense::DenseMatrix;
     use proptest::prelude::*;
     use rand::{Rng as _, SeedableRng as _};
 
@@ -1039,22 +1057,30 @@ mod tests {
         coo.to_csr()
     }
 
+    /// Reference solve through the dense Cholesky factor.
+    fn dense_solve(a: &CsrMatrix, b: &[f64]) -> Vec<f64> {
+        let rows = a.to_dense();
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        DenseMatrix::from_rows(&rows).cholesky().expect("spd").solve(b)
+    }
+
     #[test]
-    fn matches_simplicial_on_grid_all_orderings() {
+    fn elimination_tree_of_tridiagonal_is_a_path() {
+        let a = grid_laplacian(1, 6, 1.0);
+        let parent = elimination_tree(&a);
+        assert_eq!(parent, vec![1, 2, 3, 4, 5, usize::MAX]);
+    }
+
+    #[test]
+    fn matches_dense_on_grid_all_orderings() {
         let a = grid_laplacian(9, 7, 0.6);
         let n = a.n_rows();
-        let simplicial = SparseCholesky::factor(&a).unwrap();
-        for ordering in [
-            FillOrdering::Natural,
-            FillOrdering::Rcm,
-            FillOrdering::MinimumDegree,
-            FillOrdering::Amd,
-        ] {
+        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
+        let expect = dense_solve(&a, &b);
+        for ordering in [FillOrdering::Natural, FillOrdering::Rcm, FillOrdering::Amd] {
             let sym = Arc::new(SymbolicCholesky::analyze_with(&a, ordering).unwrap());
             assert_eq!(sym.ordering(), ordering);
             let chol = SupernodalCholesky::factor_with(sym, &a).unwrap();
-            let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
-            let expect = simplicial.solve(&b);
             let got = chol.solve(&b);
             for (g, e) in got.iter().zip(&expect) {
                 assert!((g - e).abs() < 1e-10, "{ordering:?}: {g} vs {e}");
@@ -1063,14 +1089,13 @@ mod tests {
     }
 
     #[test]
-    fn matches_simplicial_on_random_spd() {
+    fn matches_dense_on_random_spd() {
         for seed in 0..8 {
             let n = 40 + 7 * seed as usize;
             let a = random_spd(n, seed);
-            let simplicial = SparseCholesky::factor(&a).unwrap();
             let chol = SupernodalCholesky::factor(&a).unwrap();
             let b: Vec<f64> = (0..n).map(|i| ((i * 29) % 17) as f64 - 8.0).collect();
-            let expect = simplicial.solve(&b);
+            let expect = dense_solve(&a, &b);
             let got = chol.solve(&b);
             for (g, e) in got.iter().zip(&expect) {
                 assert!((g - e).abs() < 1e-10, "seed {seed}: {g} vs {e}");
@@ -1230,17 +1255,41 @@ mod tests {
         );
     }
 
+    #[test]
+    fn predicted_fill_is_the_exact_elimination_fill() {
+        // The ordering comparison in `analyze` is only as good as this
+        // count: it must equal the fill of a dense graph elimination under
+        // the same order, for meshes and for irregular M-matrices alike.
+        let mut matrices: Vec<CsrMatrix> = [(1, 1), (1, 7), (4, 4), (6, 9), (11, 8)]
+            .iter()
+            .map(|&(r, c)| grid_laplacian(r, c, 0.5))
+            .collect();
+        matrices.extend((0..6).map(|seed| random_spd(12 + 9 * seed as usize, seed)));
+        for a in &matrices {
+            let n = a.n_rows();
+            let orders = [
+                ("natural", (0..n).collect::<Vec<_>>()),
+                ("rcm", reverse_cuthill_mckee(a)),
+                ("amd", amd(a)),
+            ];
+            for (name, perm) in &orders {
+                let exact = dense_elimination(a, Some(perm));
+                assert_eq!(predicted_factor_nnz(a, perm), exact, "{name} on n = {n}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
-        fn amd_supernodal_matches_simplicial_on_shuffled_grids(
+        fn amd_supernodal_matches_dense_on_shuffled_grids(
             rows in 2usize..9,
             cols in 2usize..9,
             seed in 0u64..100,
         ) {
             // Shuffle the grid's node numbering so AMD sees an arbitrary
             // input order, then check the supernodal factor under
-            // FillOrdering::Amd against the simplicial reference.
+            // FillOrdering::Amd against the dense reference.
             let g = grid_laplacian(rows, cols, 0.6);
             let n = g.n_rows();
             let mut shuffle: Vec<usize> = (0..n).collect();
@@ -1252,9 +1301,8 @@ mod tests {
             let sym = Arc::new(SymbolicCholesky::analyze_with(&a, FillOrdering::Amd).unwrap());
             prop_assert_eq!(sym.ordering(), FillOrdering::Amd);
             let chol = SupernodalCholesky::factor_with(sym, &a).unwrap();
-            let simplicial = SparseCholesky::factor(&a).unwrap();
             let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
-            let expect = simplicial.solve(&b);
+            let expect = dense_solve(&a, &b);
             let got = chol.solve(&b);
             for (g, e) in got.iter().zip(&expect) {
                 prop_assert!((g - e).abs() < 1e-10, "{} vs {}", g, e);

@@ -73,6 +73,28 @@ fi
 echo "direct solver: distinct digest, store on run 1, hit on run 2"
 
 echo
+echo "== thread-count determinism =="
+# Every output must be bitwise identical at any pool width: train,
+# simulate and predict on D1 tiny at PDN_THREADS=1 and 2. Both predict
+# legs read the width-1 bundle, so they check inference on its own.
+for t in 1 2; do
+    out="$cache_dir/threads$t"
+    PDN_THREADS=$t ./target/release/pdn train --design D1 --scale tiny --vectors 4 \
+        --steps 30 --epochs 2 --cache-dir none --out "$out/model.pdn" >/dev/null
+    PDN_THREADS=$t ./target/release/pdn simulate --design D1 --scale tiny --steps 40 \
+        --seed 7 --out "$out/sim" >/dev/null
+    PDN_THREADS=$t ./target/release/pdn predict --model "$cache_dir/threads1/model.pdn" \
+        --design D1 --scale tiny --seed 7 --out "$out/predict" >/dev/null
+done
+cmp "$cache_dir/threads1/model.pdn" "$cache_dir/threads2/model.pdn" \
+    || { echo "thread determinism: trained bundles differ between widths 1 and 2"; exit 1; }
+diff -r "$cache_dir/threads1/sim" "$cache_dir/threads2/sim" \
+    || { echo "thread determinism: simulate outputs differ between widths 1 and 2"; exit 1; }
+diff -r "$cache_dir/threads1/predict" "$cache_dir/threads2/predict" \
+    || { echo "thread determinism: predict outputs differ between widths 1 and 2"; exit 1; }
+echo "thread determinism: train, simulate and predict identical at widths 1 and 2"
+
+echo
 echo "== amd ordering smoke =="
 # Forced AMD: the factor path must run end to end under the quotient-graph
 # ordering and say so.

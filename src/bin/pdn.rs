@@ -57,7 +57,7 @@ const USAGE: &str = "usage:
   pdn simulate        --design D1..D4 [--scale S] [--steps N] [--seed K]
                       [--vector FILE.csv] [--out DIR] [--solver cg|direct]
   pdn factor          --design D1..D4 [--scale S] [--seed K] [--rhs N]
-                      [--ordering auto|natural|rcm|mindeg|amd]
+                      [--ordering auto|natural|rcm|amd]
   pdn train           --design D1..D4 [--scale S] [--vectors N] [--epochs E] --out MODEL
                       [--cache-dir DIR|none] [--solver cg|direct]
                       [--checkpoint FILE.ckpt] [--checkpoint-every N]
@@ -504,10 +504,9 @@ fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Erro
         None | Some("auto") => None,
         Some("natural") => Some(FillOrdering::Natural),
         Some("rcm") => Some(FillOrdering::Rcm),
-        Some("mindeg") => Some(FillOrdering::MinimumDegree),
         Some("amd") => Some(FillOrdering::Amd),
         Some(other) => {
-            return Err(format!("unknown ordering `{other}` (auto|natural|rcm|mindeg|amd)").into())
+            return Err(format!("unknown ordering `{other}` (auto|natural|rcm|amd)").into())
         }
     };
     let grid = try_stage("build_grid", || -> Result<_, Box<dyn std::error::Error>> {
