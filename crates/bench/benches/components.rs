@@ -12,8 +12,6 @@ use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::deconv::ConvTranspose2d;
 use pdn_nn::layer::Layer;
 use pdn_nn::linalg::{self, reference, GemmScratch};
-use pdn_nn::linalg_i8::{self, I8GemmScratch};
-use pdn_nn::quant::{self, Precision, QuantizedMatrix};
 use pdn_nn::tensor::Tensor;
 use pdn_sparse::cg::{self, CgOptions, IdentityPreconditioner};
 use pdn_sparse::ichol::IncompleteCholesky;
@@ -156,61 +154,6 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gemm_i8_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("components_gemm_i8");
-    group.sample_size(10);
-    // Same conv-shaped operands as `components_gemm`: A plays the per-row
-    // quantized weights, B the activations. `gemm_i8` benches the kernel
-    // over a pre-quantized B (the direct analogue of `gemm_blocked` on f32
-    // operands); `gemm_i8_dyn` is the full inference path — B quantized
-    // dynamically on the fly, dequantization included — and `quantize_act`
-    // isolates that dynamic-quantization cost.
-    for (m, k, n) in [(8usize, 72usize, 4096usize), (64, 576, 1024)] {
-        let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 * 0.1 - 0.6).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.2 - 0.7).collect();
-        let qa = QuantizedMatrix::quantize_rows(m, k, &a);
-        let mut qb = Vec::new();
-        let qb_scale = quant::quantize_dynamic(&b, &mut qb);
-        let mut cbuf = vec![0.0f32; m * n];
-        let mut scratch = I8GemmScratch::new();
-        let id = format!("{m}x{k}x{n}");
-        group.bench_function(BenchmarkId::new("gemm_i8", &id), |bch| {
-            bch.iter(|| {
-                linalg_i8::gemm_i8_with(
-                    m,
-                    k,
-                    n,
-                    qa.data(),
-                    qa.scales(),
-                    &qb,
-                    qb_scale,
-                    &mut cbuf,
-                    &mut scratch,
-                )
-            })
-        });
-        group.bench_function(BenchmarkId::new("gemm_i8_dyn", &id), |bch| {
-            bch.iter(|| {
-                linalg_i8::gemm_i8_f32b_with(
-                    m,
-                    k,
-                    n,
-                    qa.data(),
-                    qa.scales(),
-                    &b,
-                    &mut cbuf,
-                    &mut scratch,
-                )
-            })
-        });
-        let mut q = Vec::new();
-        group.bench_function(BenchmarkId::new("quantize_act", &id), |bch| {
-            bch.iter(|| quant::quantize_dynamic(&b, &mut q))
-        });
-    }
-    group.finish();
-}
-
 fn bench_stamping_and_features(c: &mut Criterion) {
     let grid = bench_grid(DesignPreset::D4);
     let vector = bench_vector(&grid, 60);
@@ -289,8 +232,7 @@ fn bench_conv_kernels(c: &mut Criterion) {
             });
             // Fused conv+ReLU against the unfused alternative on the same
             // inference path (forward_infer, then a separate ReLU layer),
-            // so the delta isolates the fusion itself; plus the int8 fast
-            // path on top.
+            // so the delta isolates the fusion itself.
             let mut relu = Relu::new();
             let mut tmp = Tensor::zeros(&[1]);
             group.bench_with_input(
@@ -307,13 +249,6 @@ fn bench_conv_kernels(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("conv3x3_relu_fused", size), &x, |b, x| {
                 b.iter(|| conv.forward_infer(x, &mut out, true))
             });
-            conv.set_precision(Precision::Int8);
-            group.bench_with_input(
-                BenchmarkId::new("conv3x3_relu_fused_int8", size),
-                &x,
-                |b, x| b.iter(|| conv.forward_infer(x, &mut out, true)),
-            );
-            conv.set_precision(Precision::F32);
         }
         let y = conv.forward(&x);
         group.bench_with_input(BenchmarkId::new("conv3x3_bwd", size), &y, |b, y| {
@@ -365,7 +300,6 @@ criterion_group!(
     bench_sparse_solvers,
     bench_transient_solver_choice,
     bench_gemm_kernels,
-    bench_gemm_i8_kernels,
     bench_stamping_and_features,
     bench_conv_kernels,
     bench_telemetry_overhead

@@ -4,9 +4,6 @@
 //! * [`metrics`] — AE/RE statistics (mean, 99th percentile, max), hotspot
 //!   missing rate at the 10 % V<sub>nom</sub> threshold, and ROC-AUC over
 //!   hotspot classification — exactly the columns of Tables 2 and 3;
-//! * [`quantization`] — the f16/int8 inference accuracy harness: replays a
-//!   test set at each precision and gates the deviation from f32 on the
-//!   same metrics;
 //! * [`harness`] — the shared pipeline (build design → generate vectors →
 //!   simulate ground truth → dataset → train → predict test set) that every
 //!   experiment reuses;
@@ -33,7 +30,6 @@ pub mod experiments;
 pub mod harness;
 pub mod jsonl;
 pub mod metrics;
-pub mod quantization;
 pub mod render;
 pub mod report;
 pub mod serve;

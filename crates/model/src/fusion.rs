@@ -8,7 +8,6 @@ use pdn_nn::activation::Relu;
 use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::deconv::ConvTranspose2d;
 use pdn_nn::layer::{Layer, Param};
-use pdn_nn::quant::Precision;
 use pdn_nn::tensor::Tensor;
 
 /// Reusable intermediate buffers for [`FusionNet::forward_infer`].
@@ -73,22 +72,9 @@ impl FusionNet {
         self.channels
     }
 
-    /// Switches every layer's inference weights to `p`.
-    pub fn set_precision(&mut self, p: Precision) {
-        self.enc1.set_precision(p);
-        self.enc2.set_precision(p);
-        self.dec1.set_precision(p);
-        self.dec2.set_precision(p);
-    }
-
-    /// The active inference precision (all layers agree by construction).
-    pub fn precision(&self) -> Precision {
-        self.enc1.precision()
-    }
-
     /// Inference-only forward into a reused output tensor. Uses the fused
-    /// conv+ReLU kernels and allocates nothing in steady state; at f32 the
-    /// result is bitwise identical to [`Layer::forward`].
+    /// conv+ReLU kernels and allocates nothing in steady state; the result
+    /// is bitwise identical to [`Layer::forward`].
     pub fn forward_infer(&mut self, input: &Tensor, bufs: &mut FusionBufs, out: &mut Tensor) {
         assert_eq!(input.shape()[0], 1, "fusion subnet takes one-channel current maps");
         assert!(
@@ -177,12 +163,6 @@ mod tests {
         let mut bufs = FusionBufs::default();
         let mut out = Tensor::default();
         net.forward_infer(&x, &mut bufs, &mut out);
-        net.forward_infer(&x, &mut bufs, &mut out);
-        assert_eq!(out, want);
-
-        net.set_precision(Precision::F16);
-        assert_eq!(net.precision(), Precision::F16);
-        net.set_precision(Precision::F32);
         net.forward_infer(&x, &mut bufs, &mut out);
         assert_eq!(out, want);
     }

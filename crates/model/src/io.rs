@@ -10,36 +10,18 @@
 use crate::model::{ModelConfig, Predictor, WnvModel};
 use pdn_compress::temporal::TemporalCompressor;
 use pdn_features::normalize::Normalizer;
-use pdn_nn::quant::Precision;
-use pdn_nn::serialize::{read_params, read_params_quantized, write_params, write_params_quantized};
+use pdn_nn::layer::{Layer, Param};
+use pdn_nn::serialize::{read_params, write_params};
 use pdn_nn::tensor::Tensor;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"PDNWNV01";
-/// V2 bundles carry a precision tag and quantized (f16/int8) weight
-/// storage; f32 predictors keep writing byte-identical V1 bundles.
-const MAGIC_V2: &[u8; 8] = b"PDNWNV02";
 
-fn precision_tag(p: Precision) -> u32 {
-    match p {
-        Precision::F32 => 0,
-        Precision::F16 => 1,
-        Precision::Int8 => 2,
-    }
-}
-
-fn precision_from_tag(tag: u32) -> io::Result<Precision> {
-    match tag {
-        0 => Ok(Precision::F32),
-        1 => Ok(Precision::F16),
-        2 => Ok(Precision::Int8),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown precision tag {other}"),
-        )),
-    }
-}
+/// Largest kernel count a bundle may declare per subnet. The paper uses
+/// 8–16; the cap keeps a corrupt header from sizing a model that cannot
+/// be allocated before its weights are even read.
+const MAX_KERNELS: usize = 256;
 
 fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -68,13 +50,12 @@ impl Predictor {
     ///
     /// Propagates I/O errors.
     pub fn save<W: Write>(&mut self, mut writer: W) -> io::Result<()> {
-        let precision = self.precision();
-        writer.write_all(if precision == Precision::F32 { MAGIC } else { MAGIC_V2 })?;
+        writer.write_all(MAGIC)?;
         let config = self.model_config();
         write_u32(&mut writer, config.c1 as u32)?;
         write_u32(&mut writer, config.c2 as u32)?;
         write_u32(&mut writer, config.c3 as u32)?;
-        let distance = self.distance_tensor().clone();
+        let distance = self.distance_tensor();
         write_u32(&mut writer, distance.shape()[0] as u32)?;
         write_u32(&mut writer, distance.shape()[1] as u32)?;
         write_u32(&mut writer, distance.shape()[2] as u32)?;
@@ -91,12 +72,9 @@ impl Predictor {
             }
             None => write_u32(&mut writer, 0)?,
         }
-        if precision == Precision::F32 {
-            self.model_mut().write_weights(&mut writer)
-        } else {
-            write_u32(&mut writer, precision_tag(precision))?;
-            self.model_mut().write_weights_quantized(precision, &mut writer)
-        }
+        // The field, not `model_mut`: saving leaves the weights (and so
+        // the cached distance features) as they are.
+        self.model.write_weights(&mut writer)
     }
 
     /// Saves to a file path atomically: the bundle is staged to a
@@ -131,19 +109,18 @@ impl Predictor {
     fn load_impl<R: Read>(mut reader: R) -> io::Result<Predictor> {
         let mut magic = [0u8; 8];
         reader.read_exact(&mut magic)?;
-        let quantized = match &magic {
-            m if m == MAGIC => false,
-            m if m == MAGIC_V2 => true,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad predictor-bundle magic",
-                ))
-            }
-        };
+        if &magic != MAGIC {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad predictor-bundle magic"));
+        }
         let c1 = read_u32(&mut reader)? as usize;
         let c2 = read_u32(&mut reader)? as usize;
         let c3 = read_u32(&mut reader)? as usize;
+        if [c1, c2, c3].iter().any(|&c| c == 0 || c > MAX_KERNELS) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("implausible kernel counts {c1}/{c2}/{c3} (1..={MAX_KERNELS} each)"),
+            ));
+        }
         let bumps = read_u32(&mut reader)? as usize;
         let m = read_u32(&mut reader)? as usize;
         let n = read_u32(&mut reader)? as usize;
@@ -157,13 +134,15 @@ impl Predictor {
             .ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "implausible distance-tensor size")
             })?;
-        let mut data = vec![0.0f32; count];
-        let mut b4 = [0u8; 4];
-        for v in &mut data {
-            reader.read_exact(&mut b4)?;
-            *v = f32::from_le_bytes(b4);
+        // Read what the input holds, up to the declared size, so a
+        // corrupt header costs no more memory than the input itself.
+        let mut bytes = Vec::new();
+        reader.by_ref().take(count as u64 * 4).read_to_end(&mut bytes)?;
+        if bytes.len() != count * 4 {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof));
         }
-        let distance = Tensor::from_vec(&[bumps, m, n], data);
+        let data = bytes.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        let distance = Tensor::from_vec(&[bumps, m, n], data.collect());
         let current_scale = read_f64(&mut reader)?;
         let target_scale = read_f64(&mut reader)?;
         // `Normalizer::with_scale` asserts on bad scales; a corrupt bundle
@@ -187,25 +166,14 @@ impl Predictor {
             None
         };
         let mut model = WnvModel::new(bumps, ModelConfig { c1, c2, c3 }, 0);
-        let precision = if quantized {
-            let p = precision_from_tag(read_u32(&mut reader)?)?;
-            model.read_weights_quantized(&mut reader)?;
-            p
-        } else {
-            model.read_weights(&mut reader)?;
-            Precision::F32
-        };
-        let mut predictor = Predictor::from_parts(
+        model.read_weights(&mut reader)?;
+        Ok(Predictor::from_parts(
             model,
             distance,
             Normalizer::with_scale(current_scale),
             Normalizer::with_scale(target_scale),
             compressor,
-        );
-        if precision != Precision::F32 {
-            predictor.set_precision(precision);
-        }
-        Ok(predictor)
+        ))
     }
 
     /// Loads from a file path.
@@ -219,6 +187,22 @@ impl Predictor {
     }
 }
 
+/// Serialization-only [`Layer`] view of a [`WnvModel`]: hands the three
+/// subnets' parameters to `pdn_nn::serialize` in `visit_params` order.
+struct Params<'a>(&'a mut WnvModel);
+
+impl Layer for Params<'_> {
+    fn forward(&mut self, _input: &Tensor) -> Tensor {
+        unreachable!("serialization-only adapter")
+    }
+    fn backward(&mut self, _grad: &Tensor) -> Tensor {
+        unreachable!("serialization-only adapter")
+    }
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.0.visit_params(f);
+    }
+}
+
 impl WnvModel {
     /// Writes the three subnets' weights.
     ///
@@ -226,19 +210,7 @@ impl WnvModel {
     ///
     /// Propagates I/O errors.
     pub fn write_weights<W: Write>(&mut self, writer: &mut W) -> io::Result<()> {
-        struct Visitor<'a>(&'a mut WnvModel);
-        impl pdn_nn::layer::Layer for Visitor<'_> {
-            fn forward(&mut self, _input: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn backward(&mut self, _grad: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut pdn_nn::layer::Param)) {
-                self.0.visit_params(f);
-            }
-        }
-        write_params(&mut Visitor(self), writer)
+        write_params(&mut Params(self), writer)
     }
 
     /// Restores the three subnets' weights from [`WnvModel::write_weights`]
@@ -248,69 +220,7 @@ impl WnvModel {
     ///
     /// Returns `InvalidData` for structurally mismatched weight files.
     pub fn read_weights<R: Read>(&mut self, reader: &mut R) -> io::Result<()> {
-        struct Visitor<'a>(&'a mut WnvModel);
-        impl pdn_nn::layer::Layer for Visitor<'_> {
-            fn forward(&mut self, _input: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn backward(&mut self, _grad: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut pdn_nn::layer::Param)) {
-                self.0.visit_params(f);
-            }
-        }
-        read_params(&mut Visitor(self), reader)
-    }
-
-    /// Writes the three subnets' weights with quantized (f16 halfword /
-    /// int8 per-row) storage for rank ≥ 2 tensors. The on-disk form is a
-    /// storage compression: the loader dequantizes back to f32 and the
-    /// runtime re-quantizes via [`WnvModel::set_precision`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_weights_quantized<W: Write>(
-        &mut self,
-        precision: Precision,
-        writer: &mut W,
-    ) -> io::Result<()> {
-        struct Visitor<'a>(&'a mut WnvModel);
-        impl pdn_nn::layer::Layer for Visitor<'_> {
-            fn forward(&mut self, _input: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn backward(&mut self, _grad: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut pdn_nn::layer::Param)) {
-                self.0.visit_params(f);
-            }
-        }
-        write_params_quantized(&mut Visitor(self), precision, writer)
-    }
-
-    /// Restores weights written by [`WnvModel::write_weights_quantized`],
-    /// dequantizing into the f32 parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for structurally mismatched weight files.
-    pub fn read_weights_quantized<R: Read>(&mut self, reader: &mut R) -> io::Result<()> {
-        struct Visitor<'a>(&'a mut WnvModel);
-        impl pdn_nn::layer::Layer for Visitor<'_> {
-            fn forward(&mut self, _input: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn backward(&mut self, _grad: &Tensor) -> Tensor {
-                unreachable!("serialization-only adapter")
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut pdn_nn::layer::Param)) {
-                self.0.visit_params(f);
-            }
-        }
-        read_params_quantized(&mut Visitor(self), reader)
+        read_params(&mut Params(self), reader)
     }
 }
 
@@ -322,6 +232,7 @@ mod tests {
     use pdn_grid::design::{DesignPreset, DesignScale};
     use pdn_sim::wnv::WnvRunner;
     use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
+    use proptest::prelude::*;
 
     fn trained_predictor() -> (pdn_grid::build::PowerGrid, Predictor, pdn_vectors::vector::TestVector)
     {
@@ -364,58 +275,15 @@ mod tests {
     }
 
     #[test]
-    fn quantized_bundle_round_trip() {
-        for precision in [Precision::F16, Precision::Int8] {
-            let (grid, mut predictor, query) = trained_predictor();
-            let reference = predictor.predict(&grid, &query);
-            let scale =
-                reference.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-12);
-            predictor.set_precision(precision);
-
-            let mut buf = Vec::new();
-            predictor.save(&mut buf).unwrap();
-            assert_eq!(&buf[..8], MAGIC_V2, "{precision}");
-            let mut restored = Predictor::load(&mut buf.as_slice()).unwrap();
-            assert_eq!(restored.precision(), precision);
-
-            // Quantized storage is lossy once, but must stay close to the
-            // f32 reference and be stable under a second round trip.
-            let after = restored.predict(&grid, &query);
-            let tol = if precision == Precision::F16 { 2e-3 } else { 0.3 };
-            for (a, b) in after.as_slice().iter().zip(reference.as_slice()) {
-                assert!((a - b).abs() <= scale * tol, "{precision}: {a} vs {b}");
-            }
-            let mut buf2 = Vec::new();
-            restored.save(&mut buf2).unwrap();
-            assert_eq!(buf, buf2, "{precision}: second round trip must be byte-identical");
-        }
-    }
-
-    #[test]
-    fn f32_save_keeps_v1_format() {
+    fn retired_v2_bundles_are_rejected_as_bad_magic() {
         let (_, mut predictor, _) = trained_predictor();
         let mut buf = Vec::new();
         predictor.save(&mut buf).unwrap();
         assert_eq!(&buf[..8], MAGIC);
-        // A precision excursion must not leak into a later f32 save.
-        predictor.set_precision(Precision::Int8);
-        predictor.set_precision(Precision::F32);
-        let mut buf2 = Vec::new();
-        predictor.save(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn torn_quantized_bundle_rejected() {
-        let (_, mut predictor, _) = trained_predictor();
-        predictor.set_precision(Precision::Int8);
-        let mut buf = Vec::new();
-        predictor.save(&mut buf).unwrap();
-        for cut in [0, 4, 10, 21, buf.len() / 4, buf.len() / 2, buf.len() - 5, buf.len() - 1] {
-            let torn = &buf[..cut];
-            let err = Predictor::load(&mut &torn[..]).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
-        }
+        buf[..8].copy_from_slice(b"PDNWNV02");
+        let err = Predictor::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("magic"), "{err}");
     }
 
     #[test]
@@ -437,32 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn stored_precision_serves_any_requested_precision() {
-        // A serve daemon loads a bundle stored at one precision and may be
-        // asked to answer at another: every stored x requested combination
-        // must load, validate against the design, and predict finite maps —
-        // never panic mid-request.
-        let precisions = [Precision::F32, Precision::F16, Precision::Int8];
-        let (grid, mut predictor, query) = trained_predictor();
-        for &stored in &precisions {
-            predictor.set_precision(stored);
-            let mut buf = Vec::new();
-            predictor.save(&mut buf).unwrap();
-            for &requested in &precisions {
-                let mut restored = Predictor::load(&mut buf.as_slice()).unwrap();
-                assert_eq!(restored.precision(), stored, "{stored}");
-                restored.validate_for(&grid).unwrap();
-                restored.set_precision(requested);
-                let map = restored.predict(&grid, &query);
-                assert!(
-                    map.as_slice().iter().all(|v| v.is_finite()),
-                    "stored {stored}, requested {requested}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn corrupt_bundle_rejected() {
         let err = Predictor::load(&mut b"garbage!".as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -480,6 +322,67 @@ mod tests {
             let torn = &buf[..cut];
             let err = Predictor::load(&mut &torn[..]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+    }
+
+    /// A saved bundle, split into its structural bytes — the header, the
+    /// weight blob's magic and count, every tensor's rank and dimension
+    /// words — and the rest (distance data, scales, compressor, weights).
+    struct Layout {
+        bytes: Vec<u8>,
+        structural: Vec<usize>,
+        rest: Vec<usize>,
+    }
+
+    fn layout() -> &'static Layout {
+        static LAYOUT: std::sync::OnceLock<Layout> = std::sync::OnceLock::new();
+        LAYOUT.get_or_init(|| {
+            let (_, mut predictor, _) = trained_predictor();
+            let mut bytes = Vec::new();
+            predictor.save(&mut bytes).unwrap();
+            let word = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+            // Magic + six u32 header words, the f32 distance tensor, two f64
+            // scales, the compressor flag and its two f64 settings.
+            let weights = 8 + 6 * 4 + predictor.distance_tensor().len() * 4 + 2 * 8 + 4 + 2 * 8;
+            let mut structural: Vec<usize> = (0..8 + 6 * 4).collect();
+            structural.extend(weights..weights + 12);
+            let mut off = weights + 12;
+            for _ in 0..word(weights + 8) {
+                let rank = word(off) as usize;
+                structural.extend(off..off + 4 * (1 + rank));
+                let len: usize = (0..rank).map(|d| word(off + 4 * (1 + d)) as usize).product();
+                off += 4 * (1 + rank + len);
+            }
+            assert_eq!(off, bytes.len(), "layout walk must cover the whole bundle");
+            let rest = (0..bytes.len()).filter(|i| !structural.contains(i)).collect();
+            Layout { bytes, structural, rest }
+        })
+    }
+
+    /// Loads the bundle with one bit flipped: it must load or fail with
+    /// `InvalidData`, never panic or abort.
+    fn assert_flip_loads_or_fails_cleanly(offset: usize, bit: u8) {
+        let mut flipped = layout().bytes.clone();
+        flipped[offset] ^= 1 << bit;
+        if let Err(e) = Predictor::load(&mut flipped.as_slice()) {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "byte {offset} bit {bit}: {e}");
+        }
+    }
+
+    #[test]
+    fn bit_flips_in_structural_words_load_or_fail_cleanly() {
+        for &offset in &layout().structural {
+            for bit in 0..8 {
+                assert_flip_loads_or_fails_cleanly(offset, bit);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn random_bit_flips_load_or_fail_cleanly(i in 0..layout().rest.len(), bit in 0u8..8) {
+            assert_flip_loads_or_fails_cleanly(layout().rest[i], bit);
         }
     }
 

@@ -10,7 +10,6 @@ use pdn_features::dataset::Dataset;
 use pdn_features::normalize::Normalizer;
 use pdn_grid::build::PowerGrid;
 use pdn_nn::layer::{Layer, Param};
-use pdn_nn::quant::Precision;
 use pdn_nn::tensor::Tensor;
 use pdn_vectors::vector::TestVector;
 use rayon::prelude::*;
@@ -183,20 +182,6 @@ impl WnvModel {
         }
     }
 
-    /// Switches all three subnets' inference weights to `p`. Training
-    /// parameters are untouched, so `F32` always restores the exact
-    /// trained behaviour.
-    pub fn set_precision(&mut self, p: Precision) {
-        self.distance_net.set_precision(p);
-        self.fusion_net.set_precision(p);
-        self.prediction_net.set_precision(p);
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> Precision {
-        self.distance_net.precision()
-    }
-
     /// Visits all trainable parameters of the three subnets.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.distance_net.visit_params(f);
@@ -217,7 +202,7 @@ impl WnvModel {
 struct InferScratch {
     /// `pad_to_multiple4(distance)` — depends only on the design.
     padded_distance: Tensor,
-    /// Distance-net output; valid until the weights (precision) change.
+    /// Distance-net output; valid until the weights change.
     d_tilde: Tensor,
     d_tilde_valid: bool,
     unet_d: UNetBufs,
@@ -241,12 +226,13 @@ struct InferScratch {
 /// This is the object whose [`Predictor::predict`] runtime is compared to
 /// the simulator in Table 2.
 pub struct Predictor {
-    model: WnvModel,
+    /// Crate-visible so the bundle writer can borrow the weights without
+    /// going through [`Predictor::model_mut`], which drops the cache.
+    pub(crate) model: WnvModel,
     distance: Tensor,
     current_norm: Normalizer,
     target_norm: Normalizer,
     compressor: Option<TemporalCompressor>,
-    precision: Precision,
     scratch: InferScratch,
 }
 
@@ -265,25 +251,8 @@ impl Predictor {
             current_norm: dataset.current_norm,
             target_norm: dataset.target_norm,
             compressor,
-            precision: Precision::F32,
             scratch: InferScratch::default(),
         }
-    }
-
-    /// Switches the inference precision: `F32` (the trained weights), `F16`
-    /// (half-precision weight storage, f32 compute) or `Int8` (per-channel
-    /// symmetric weight quantization, i32 accumulate). Training parameters
-    /// are untouched, so `F32` restores the exact trained behaviour.
-    pub fn set_precision(&mut self, p: Precision) {
-        self.precision = p;
-        self.model.set_precision(p);
-        // The cached distance features were computed with the old weights.
-        self.scratch.d_tilde_valid = false;
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Predicts the worst-case noise map (in volts) for a raw test vector:
@@ -301,8 +270,8 @@ impl Predictor {
 
     /// [`Predictor::predict`] into a reused output map. All intermediates
     /// live in the predictor's internal scratch, so steady-state calls
-    /// perform no heap allocation; at f32 the result is bitwise identical
-    /// to the training-path forward.
+    /// perform no heap allocation, and the result is bitwise identical to
+    /// the training-path forward.
     ///
     /// # Panics
     ///
@@ -399,8 +368,11 @@ impl Predictor {
         }
     }
 
-    /// Borrow the inner model (e.g. for parameter counting).
+    /// Borrow the inner model (e.g. for parameter counting, or to swap in
+    /// other weights). The cached distance features are dropped, since the
+    /// caller may change the weights they were computed with.
     pub fn model_mut(&mut self) -> &mut WnvModel {
+        self.scratch.d_tilde_valid = false;
         &mut self.model
     }
 
@@ -418,7 +390,6 @@ impl Predictor {
             current_norm,
             target_norm,
             compressor,
-            precision: Precision::F32,
             scratch: InferScratch::default(),
         }
     }
@@ -458,8 +429,6 @@ impl Predictor {
     /// against the grid — and returns a human-readable explanation instead
     /// of panicking later. (Normalizer scales are already guaranteed finite
     /// and positive by construction and by the bundle loader.)
-    /// Valid for every inference precision: f16/int8 requantize from the
-    /// same trained weights, so shape compatibility is precision-invariant.
     ///
     /// # Errors
     ///
@@ -574,28 +543,24 @@ mod tests {
     }
 
     #[test]
-    fn quantized_predict_tracks_f32_and_restores_exactly() {
+    fn swapping_the_model_drops_cached_distance_features() {
         let (grid, vectors, distance, config) = infer_fixture();
-        let mut p = Predictor::from_parts(
-            WnvModel::new(grid.bumps().len(), config, 21),
-            distance,
-            Normalizer::with_scale(2.0),
-            Normalizer::with_scale(4.0),
-            None,
-        );
-        let want = p.predict(&grid, &vectors[0]);
-        let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-
-        p.set_precision(Precision::Int8);
-        assert_eq!(p.precision(), Precision::Int8);
-        let q = p.predict(&grid, &vectors[0]);
-        let mut max_err = 0.0f64;
-        for (a, b) in q.as_slice().iter().zip(want.as_slice()) {
-            max_err = max_err.max((a - b).abs());
-        }
-        assert!(max_err <= scale * 0.35 + 1e-6, "int8 err {max_err} vs scale {scale}");
-
-        p.set_precision(Precision::F32);
+        let bumps = grid.bumps().len();
+        let predictor = |seed| {
+            Predictor::from_parts(
+                WnvModel::new(bumps, config, seed),
+                distance.clone(),
+                Normalizer::with_scale(2.0),
+                Normalizer::with_scale(3.0),
+                None,
+            )
+        };
+        let mut p = predictor(3);
+        let _ = p.predict(&grid, &vectors[0]);
+        *p.model_mut() = WnvModel::new(bumps, config, 4);
+        let want = predictor(4).predict(&grid, &vectors[0]);
+        // Seed 4's map is not clamped to all zeros, so stale features show.
+        assert!(want.max() > 0.0);
         assert_eq!(p.predict(&grid, &vectors[0]), want);
     }
 
@@ -632,31 +597,6 @@ mod tests {
         );
         let err = wrong_bumps.validate_for(&grid).unwrap_err();
         assert!(err.contains("bumps"), "{err}");
-    }
-
-    #[test]
-    fn set_precision_combinations_validate_and_predict_finite() {
-        let (grid, vectors, distance, config) = infer_fixture();
-        let mut p = Predictor::from_parts(
-            WnvModel::new(grid.bumps().len(), config, 9),
-            distance,
-            Normalizer::with_scale(2.0),
-            Normalizer::with_scale(3.0),
-            None,
-        );
-        let precisions = [Precision::F32, Precision::F16, Precision::Int8];
-        for &from in &precisions {
-            for &to in &precisions {
-                p.set_precision(from);
-                p.set_precision(to);
-                p.validate_for(&grid).unwrap();
-                let map = p.predict(&grid, &vectors[0]);
-                assert!(
-                    map.as_slice().iter().all(|v| v.is_finite()),
-                    "non-finite prediction after {from} -> {to}"
-                );
-            }
-        }
     }
 
     #[test]

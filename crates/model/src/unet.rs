@@ -11,7 +11,6 @@ use pdn_nn::activation::Relu;
 use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::deconv::ConvTranspose2d;
 use pdn_nn::layer::{Layer, Param};
-use pdn_nn::quant::Precision;
 use pdn_nn::tensor::Tensor;
 
 /// Reusable intermediate buffers for [`UNet::forward_infer`]. The skip
@@ -107,28 +106,9 @@ impl UNet {
         self.channels
     }
 
-    /// Switches every convolution's inference weights to `p`.
-    pub fn set_precision(&mut self, p: Precision) {
-        self.in_conv.set_precision(p);
-        self.down1.set_precision(p);
-        self.down1b.set_precision(p);
-        self.down2.set_precision(p);
-        self.down2b.set_precision(p);
-        self.up1.set_precision(p);
-        self.up1b.set_precision(p);
-        self.up2.set_precision(p);
-        self.up2b.set_precision(p);
-        self.out_conv.set_precision(p);
-    }
-
-    /// The active inference precision (all layers agree by construction).
-    pub fn precision(&self) -> Precision {
-        self.in_conv.precision()
-    }
-
     /// Inference-only forward into a reused output tensor. Uses the fused
-    /// conv+ReLU kernels and allocates nothing in steady state; at f32 the
-    /// result is bitwise identical to [`Layer::forward`].
+    /// conv+ReLU kernels and allocates nothing in steady state; the result
+    /// is bitwise identical to [`Layer::forward`].
     pub fn forward_infer(&mut self, input: &Tensor, bufs: &mut UNetBufs, out: &mut Tensor) {
         assert!(
             input.shape()[1].is_multiple_of(4) && input.shape()[2].is_multiple_of(4),
@@ -255,27 +235,6 @@ mod tests {
         let mut out = Tensor::default();
         // Run twice so the second pass exercises fully warmed buffers.
         net.forward_infer(&x, &mut bufs, &mut out);
-        net.forward_infer(&x, &mut bufs, &mut out);
-        assert_eq!(out, want);
-    }
-
-    #[test]
-    fn quantized_precisions_track_f32() {
-        let mut net = UNet::new(2, 4, 1, 11);
-        let x = Tensor::from_fn3(2, 8, 8, |c, h, w| ((c * 5 + h * 2 + w) % 9) as f32 * 0.12 - 0.5);
-        let want = net.forward(&x);
-        let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let mut bufs = UNetBufs::default();
-        let mut out = Tensor::default();
-
-        net.set_precision(Precision::Int8);
-        assert_eq!(net.precision(), Precision::Int8);
-        net.forward_infer(&x, &mut bufs, &mut out);
-        for (a, b) in out.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() <= scale * 0.25 + 5e-3, "int8 {a} vs {b}");
-        }
-
-        net.set_precision(Precision::F32);
         net.forward_infer(&x, &mut bufs, &mut out);
         assert_eq!(out, want);
     }

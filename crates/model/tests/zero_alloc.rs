@@ -9,7 +9,6 @@
 use pdn_features::normalize::Normalizer;
 use pdn_grid::design::{DesignPreset, DesignScale};
 use pdn_model::model::{ModelConfig, Predictor, WnvModel};
-use pdn_nn::quant::Precision;
 use pdn_nn::tensor::Tensor;
 use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,24 +56,21 @@ fn predict_batch_steady_state_is_allocation_free() {
     );
     let mut out = Vec::new();
 
-    for precision in [Precision::F32, Precision::Int8] {
-        predictor.set_precision(precision);
-        // Two warm-up passes size the output maps and every internal
-        // scratch buffer (one would do; two guards against buffers that
-        // only stabilize after the first reuse).
-        predictor.predict_batch(&grid, &vectors, &mut out);
-        predictor.predict_batch(&grid, &vectors, &mut out);
+    // Two warm-up passes size the output maps and every internal scratch
+    // buffer (one would do; two guards against buffers that only stabilize
+    // after the first reuse).
+    predictor.predict_batch(&grid, &vectors, &mut out);
+    predictor.predict_batch(&grid, &vectors, &mut out);
 
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
-        predictor.predict_batch(&grid, &vectors, &mut out);
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "predict_batch at {precision} allocated {} times in steady state",
-            after - before
-        );
-        assert_eq!(out.len(), vectors.len());
-        assert!(out.iter().all(|m| m.shape() == (rows, cols)));
-    }
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    predictor.predict_batch(&grid, &vectors, &mut out);
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "predict_batch allocated {} times in steady state",
+        after - before
+    );
+    assert_eq!(out.len(), vectors.len());
+    assert!(out.iter().all(|m| m.shape() == (rows, cols)));
 }

@@ -3,8 +3,6 @@
 use crate::init;
 use crate::layer::{Layer, Param};
 use crate::linalg::{gemm_at_with, gemm_bt_with, gemm_with, GemmScratch};
-use crate::linalg_i8::{gemm_i8_f32b_with, I8GemmScratch};
-use crate::quant::{InferWeights, Precision};
 use crate::tensor::Tensor;
 
 /// How the input border is padded before convolving.
@@ -31,7 +29,6 @@ struct Cache {
 #[derive(Default)]
 struct Scratch {
     gemm: GemmScratch,
-    i8: I8GemmScratch,
     gw: Vec<f32>,
     gcols: Vec<f32>,
     gpad: Vec<f32>,
@@ -103,15 +100,14 @@ pub struct Conv2d {
     padding: Padding,
     weight: Param,
     bias: Param,
-    infer: InferWeights,
     cache: Option<Cache>,
     scratch: Scratch,
 }
 
 impl Clone for Conv2d {
-    /// Clones the configuration, parameters and inference-precision
-    /// weights; the forward cache and workspace are not carried over (the
-    /// clone behaves as if `forward` was never called).
+    /// Clones the configuration and parameters; the forward cache and
+    /// workspace are not carried over (the clone behaves as if `forward`
+    /// was never called).
     fn clone(&self) -> Conv2d {
         Conv2d {
             in_ch: self.in_ch,
@@ -121,7 +117,6 @@ impl Clone for Conv2d {
             padding: self.padding,
             weight: self.weight.clone(),
             bias: self.bias.clone(),
-            infer: self.infer.clone(),
             cache: None,
             scratch: Scratch::default(),
         }
@@ -163,7 +158,6 @@ impl Conv2d {
             padding,
             weight: Param::new(init::kaiming_conv(out_ch, in_ch, ksize, seed)),
             bias: Param::new(Tensor::zeros(&[out_ch])),
-            infer: InferWeights::F32,
             cache: None,
             scratch: Scratch::default(),
         }
@@ -231,56 +225,11 @@ impl Conv2d {
         (hp, wp)
     }
 
-    /// Switches the inference weight representation (f32 / f16 / int8).
-    ///
-    /// Training parameters are untouched, so this is freely reversible; but
-    /// `forward` computes with the selected representation, so training
-    /// (backward + optimizer steps) is only meaningful at
-    /// [`Precision::F32`].
-    pub fn set_precision(&mut self, p: Precision) {
-        let cols = self.in_ch * self.ksize * self.ksize;
-        self.infer = InferWeights::build(p, self.out_ch, cols, self.weight.value.as_slice());
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> Precision {
-        self.infer.precision()
-    }
-
-    /// Runs the GEMM for this layer's active precision over an im2col
-    /// matrix, writing `out[out_ch x cols_n]`.
-    fn gemm_dispatch(&mut self, rows: usize, cols_n: usize, cols: &[f32], out: &mut [f32]) {
-        match &self.infer {
-            InferWeights::F32 => gemm_with(
-                self.out_ch,
-                rows,
-                cols_n,
-                self.weight.value.as_slice(),
-                cols,
-                out,
-                &mut self.scratch.gemm,
-            ),
-            InferWeights::F16(w16) => {
-                gemm_with(self.out_ch, rows, cols_n, w16, cols, out, &mut self.scratch.gemm)
-            }
-            InferWeights::Int8(q) => gemm_i8_f32b_with(
-                self.out_ch,
-                rows,
-                cols_n,
-                q.data(),
-                q.scales(),
-                cols,
-                out,
-                &mut self.scratch.i8,
-            ),
-        }
-    }
-
     /// Allocation-free inference forward with optionally fused ReLU.
     ///
     /// Writes into `out` (resized in place); pads, im2cols and packs into
     /// per-layer scratch buffers, so repeated calls with stable shapes never
-    /// allocate. With `relu = false` the f32 result is bitwise identical to
+    /// allocate. With `relu = false` the result is bitwise identical to
     /// [`Layer::forward`]; with `relu = true` it equals `forward` followed
     /// by [`crate::activation::Relu`], with the activation folded into the
     /// bias pass (one less sweep over the output).
@@ -302,7 +251,9 @@ impl Conv2d {
         let cols_n = ho * wo;
         im2col(self.in_ch, k, s, (hp, wp), (ho, wo), &pad_buf, &mut cols);
         out.resize_in_place(&[self.out_ch, ho, wo]);
-        self.gemm_dispatch(rows, cols_n, &cols, out.as_mut_slice());
+        let weight = self.weight.value.as_slice();
+        let o = out.as_mut_slice();
+        gemm_with(self.out_ch, rows, cols_n, weight, &cols, o, &mut self.scratch.gemm);
         bias_relu(out.as_mut_slice(), self.bias.value.as_slice(), cols_n, relu);
         self.scratch.pad = pad_buf;
         self.scratch.cols = cols;
@@ -350,7 +301,8 @@ impl Layer for Conv2d {
         im2col(self.in_ch, k, s, (hp, wp), (ho, wo), &padded, &mut cols);
 
         let mut out = vec![0.0f32; self.out_ch * cols_n];
-        self.gemm_dispatch(rows, cols_n, &cols, &mut out);
+        let weight = self.weight.value.as_slice();
+        gemm_with(self.out_ch, rows, cols_n, weight, &cols, &mut out, &mut self.scratch.gemm);
         bias_relu(&mut out, self.bias.value.as_slice(), cols_n, false);
         self.cache = Some(Cache {
             cols,
@@ -539,35 +491,6 @@ mod tests {
         let mut got2 = Tensor::default();
         down.forward_infer(&x2, &mut got2, false);
         assert_eq!(got2, want2);
-    }
-
-    #[test]
-    fn quantized_precisions_track_f32() {
-        let mut conv = Conv2d::new(2, 4, 3, 1, Padding::Zero, 5);
-        let x = Tensor::from_fn3(2, 8, 8, |c, h, w| ((c * 13 + h * 5 + w) % 23) as f32 * 0.08 - 0.8);
-        let want = conv.forward(&x);
-        let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-
-        conv.set_precision(Precision::F16);
-        assert_eq!(conv.precision(), Precision::F16);
-        let f16_out = conv.forward(&x);
-        for (a, b) in f16_out.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() <= scale * 2e-3 + 1e-5, "f16 {a} vs {b}");
-        }
-
-        conv.set_precision(Precision::Int8);
-        let i8_out = conv.forward(&x);
-        for (a, b) in i8_out.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() <= scale * 0.05 + 1e-3, "int8 {a} vs {b}");
-        }
-        // The fused path uses the same quantized weights.
-        let mut i8_fused = Tensor::default();
-        conv.forward_infer(&x, &mut i8_fused, false);
-        assert_eq!(i8_fused, i8_out);
-
-        // Dropping back to f32 is lossless.
-        conv.set_precision(Precision::F32);
-        assert_eq!(conv.forward(&x), want);
     }
 
     // Full gradient correctness is covered by the gradcheck module's tests.

@@ -2,8 +2,6 @@
 
 use crate::layer::{Layer, Param};
 use crate::linalg::{gemm_at_with, gemm_bt_with, gemm_with, GemmScratch};
-use crate::linalg_i8::{gemm_i8_f32b_with, I8GemmScratch};
-use crate::quant::{InferWeights, Precision, QuantizedMatrix};
 use crate::tensor::Tensor;
 
 /// Per-layer workspace: the column matrix and gradient buffers are
@@ -11,7 +9,6 @@ use crate::tensor::Tensor;
 #[derive(Default)]
 struct Scratch {
     gemm: GemmScratch,
-    i8: I8GemmScratch,
     cols: Vec<f32>,
     gcols: Vec<f32>,
     gw: Vec<f32>,
@@ -42,14 +39,13 @@ pub struct ConvTranspose2d {
     pad: usize,
     weight: Param,
     bias: Param,
-    infer: InferWeights,
     cached_input: Option<Tensor>,
     scratch: Scratch,
 }
 
 impl Clone for ConvTranspose2d {
-    /// Clones configuration, parameters and inference-precision weights;
-    /// the forward cache and workspace are dropped.
+    /// Clones configuration and parameters; the forward cache and
+    /// workspace are dropped.
     fn clone(&self) -> ConvTranspose2d {
         ConvTranspose2d {
             in_ch: self.in_ch,
@@ -59,7 +55,6 @@ impl Clone for ConvTranspose2d {
             pad: self.pad,
             weight: self.weight.clone(),
             bias: self.bias.clone(),
-            infer: self.infer.clone(),
             cached_input: None,
             scratch: Scratch::default(),
         }
@@ -108,7 +103,6 @@ impl ConvTranspose2d {
             pad,
             weight: Param::new(w),
             bias: Param::new(Tensor::zeros(&[out_ch])),
-            infer: InferWeights::F32,
             cached_input: None,
             scratch: Scratch::default(),
         }
@@ -148,67 +142,13 @@ impl ConvTranspose2d {
         (lo, hi.max(lo))
     }
 
-    /// Switches the inference weight representation (f32 / f16 / int8).
-    ///
-    /// The quantized GEMM needs per-*output-row* scales, but the stored
-    /// layout is `[in, out·k²]` — per-input-channel scales cannot be
-    /// factored out of the `Σ_ci` reduction. So the int8 tier materializes
-    /// the transposed weight `[out·k² × in]` and quantizes per its rows
-    /// (one scale per `(co, kh, kw)` tap), trading `in·out·k²` bytes for
-    /// exact per-channel granularity.
-    pub fn set_precision(&mut self, p: Precision) {
-        let rows = self.out_ch * self.ksize * self.ksize;
-        self.infer = match p {
-            Precision::Int8 => {
-                let w = self.weight.value.as_slice();
-                let mut t = vec![0.0f32; rows * self.in_ch];
-                for ci in 0..self.in_ch {
-                    for r in 0..rows {
-                        t[r * self.in_ch + ci] = w[ci * rows + r];
-                    }
-                }
-                InferWeights::Int8(QuantizedMatrix::quantize_rows(rows, self.in_ch, &t))
-            }
-            other => InferWeights::build(other, self.in_ch, rows, self.weight.value.as_slice()),
-        };
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> Precision {
-        self.infer.precision()
-    }
-
-    /// Computes the column matrix `cols[(co, kh, kw), pixel]` for the
-    /// active precision into the recycled scratch buffer.
+    /// Computes the column matrix `cols[(co, kh, kw), pixel]` into the
+    /// recycled scratch buffer.
     fn cols_gemm(&mut self, rows: usize, pixels: usize, input: &[f32]) {
         let cols = &mut self.scratch.cols;
         cols.resize(rows * pixels, 0.0);
-        match &self.infer {
-            InferWeights::F32 => gemm_at_with(
-                rows,
-                self.in_ch,
-                pixels,
-                self.weight.value.as_slice(),
-                input,
-                cols,
-                &mut self.scratch.gemm,
-            ),
-            InferWeights::F16(w16) => {
-                gemm_at_with(rows, self.in_ch, pixels, w16, input, cols, &mut self.scratch.gemm)
-            }
-            // The materialized transpose is row-major [rows, in], so this is
-            // a plain (not Aᵀ) quantized GEMM.
-            InferWeights::Int8(q) => gemm_i8_f32b_with(
-                rows,
-                self.in_ch,
-                pixels,
-                q.data(),
-                q.scales(),
-                input,
-                cols,
-                &mut self.scratch.i8,
-            ),
-        }
+        let w = self.weight.value.as_slice();
+        gemm_at_with(rows, self.in_ch, pixels, w, input, cols, &mut self.scratch.gemm);
     }
 
     /// Scatters the column matrix into the strided output (col2im). The
@@ -238,7 +178,7 @@ impl ConvTranspose2d {
 
     /// Allocation-free inference forward with optionally fused ReLU.
     ///
-    /// Writes into `out` (resized in place). With `relu = false` the f32
+    /// Writes into `out` (resized in place). With `relu = false` the
     /// result is bitwise identical to [`Layer::forward`]; with `relu =
     /// true` the activation is folded into the bias pass that already
     /// follows the col2im scatter. Does not populate the backward cache.
@@ -443,32 +383,5 @@ mod tests {
         let want_relu = relu.forward(&want);
         d.forward_infer(&x, &mut got, true);
         assert_eq!(got, want_relu);
-    }
-
-    #[test]
-    fn quantized_precisions_track_f32() {
-        let mut d = ConvTranspose2d::new(4, 3, 4, 2, 1, 11);
-        let x = Tensor::from_fn3(4, 6, 6, |c, h, w| ((c * 7 + h * 3 + w) % 19) as f32 * 0.06 - 0.5);
-        let want = d.forward(&x);
-        let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-
-        d.set_precision(Precision::F16);
-        let f16_out = d.forward(&x);
-        for (a, b) in f16_out.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() <= scale * 2e-3 + 1e-5, "f16 {a} vs {b}");
-        }
-
-        d.set_precision(Precision::Int8);
-        assert_eq!(d.precision(), Precision::Int8);
-        let i8_out = d.forward(&x);
-        for (a, b) in i8_out.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() <= scale * 0.05 + 1e-3, "int8 {a} vs {b}");
-        }
-        let mut i8_fused = Tensor::default();
-        d.forward_infer(&x, &mut i8_fused, false);
-        assert_eq!(i8_fused, i8_out);
-
-        d.set_precision(Precision::F32);
-        assert_eq!(d.forward(&x), want);
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::init;
 use crate::layer::{Layer, Param};
-use crate::quant::{quantize_dynamic, InferWeights, Precision};
 use crate::tensor::Tensor;
 
 /// A dense (fully connected) layer: flattens its input and computes
@@ -24,24 +23,18 @@ pub struct Dense {
     out_features: usize,
     weight: Param,
     bias: Param,
-    infer: InferWeights,
     cached_input: Option<Tensor>,
-    /// Staging buffer for dynamic input quantization at int8.
-    qx: Vec<i8>,
 }
 
 impl Clone for Dense {
-    /// Clones configuration, parameters and inference-precision weights;
-    /// the forward cache is dropped.
+    /// Clones configuration and parameters; the forward cache is dropped.
     fn clone(&self) -> Dense {
         Dense {
             in_features: self.in_features,
             out_features: self.out_features,
             weight: self.weight.clone(),
             bias: self.bias.clone(),
-            infer: self.infer.clone(),
             cached_input: None,
-            qx: Vec::new(),
         }
     }
 }
@@ -71,9 +64,7 @@ impl Dense {
             out_features,
             weight: Param::new(w),
             bias: Param::new(Tensor::zeros(&[out_features])),
-            infer: InferWeights::F32,
             cached_input: None,
-            qx: Vec::new(),
         }
     }
 
@@ -86,56 +77,18 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
-
-    /// Switches the inference weight representation (f32 / f16 / int8).
-    pub fn set_precision(&mut self, p: Precision) {
-        self.infer =
-            InferWeights::build(p, self.out_features, self.in_features, self.weight.value.as_slice());
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> Precision {
-        self.infer.precision()
-    }
-
-    /// `y = W x + b` into `out` for the active precision. A matvec is too
-    /// small to benefit from the packed GEMM kernels, so the int8 tier is a
-    /// scalar i32 dot per row.
-    fn matvec(&mut self, x: &[f32], out: &mut [f32]) {
-        match &self.infer {
-            InferWeights::F32 => {
-                matvec_f32(self.weight.value.as_slice(), x, self.bias.value.as_slice(), out)
-            }
-            InferWeights::F16(w16) => matvec_f32(w16, x, self.bias.value.as_slice(), out),
-            InferWeights::Int8(q) => {
-                let sx = quantize_dynamic(x, &mut self.qx);
-                let n = self.in_features;
-                for (o, ov) in out.iter_mut().enumerate() {
-                    let row = &q.data()[o * n..(o + 1) * n];
-                    let mut acc = 0i32;
-                    for (&wq, &xq) in row.iter().zip(&self.qx) {
-                        acc += wq as i32 * xq as i32;
-                    }
-                    *ov = self.bias.value.as_slice()[o] + acc as f32 * (q.scales()[o] * sx);
-                }
-            }
-        }
-    }
-}
-
-fn matvec_f32(w: &[f32], x: &[f32], bias: &[f32], out: &mut [f32]) {
-    let n = x.len();
-    for (o, ov) in out.iter_mut().enumerate() {
-        let row = &w[o * n..(o + 1) * n];
-        *ov = bias[o] + row.iter().zip(x).map(|(a, b)| a * b).sum::<f32>();
-    }
 }
 
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.len(), self.in_features, "dense input feature mismatch");
         let mut out = Tensor::zeros(&[self.out_features]);
-        self.matvec(input.as_slice(), out.as_mut_slice());
+        let (w, bias, x) =
+            (self.weight.value.as_slice(), self.bias.value.as_slice(), input.as_slice());
+        for (o, ov) in out.as_mut_slice().iter_mut().enumerate() {
+            let row = &w[o * self.in_features..(o + 1) * self.in_features];
+            *ov = bias[o] + row.iter().zip(x).map(|(a, b)| a * b).sum::<f32>();
+        }
         self.cached_input = Some(input.clone());
         out
     }
@@ -208,30 +161,6 @@ mod tests {
         let r = check_layer(&mut fc, &[6], 1e-2, 2);
         assert!(r.max_input_error < 3e-2, "{:?}", r.max_input_error);
         assert!(r.max_param_error < 3e-2, "{:?}", r.max_param_error);
-    }
-
-    #[test]
-    fn quantized_precisions_track_f32() {
-        let mut fc = Dense::new(24, 5, 8);
-        let x = Tensor::from_fn3(2, 3, 4, |c, h, w| ((c * 11 + h * 5 + w) % 9) as f32 * 0.11 - 0.4);
-        let want = fc.forward(&x);
-        let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-
-        fc.set_precision(Precision::F16);
-        let f16_out = fc.forward(&x);
-        for (a, b) in f16_out.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() <= scale * 2e-3 + 1e-5, "f16 {a} vs {b}");
-        }
-
-        fc.set_precision(Precision::Int8);
-        assert_eq!(fc.precision(), Precision::Int8);
-        let i8_out = fc.forward(&x);
-        for (a, b) in i8_out.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() <= scale * 0.05 + 1e-3, "int8 {a} vs {b}");
-        }
-
-        fc.set_precision(Precision::F32);
-        assert_eq!(fc.forward(&x), want);
     }
 
     #[test]

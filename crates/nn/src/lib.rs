@@ -16,9 +16,7 @@
 //! * [`optim::Adam`] — the optimizer with the paper's settings
 //!   (lr = 1e-4);
 //! * [`gradcheck`] — finite-difference verification used by the test suite
-//!   to prove every backward pass correct;
-//! * [`quant`] / [`linalg_i8`] — reduced-precision inference tiers: f16
-//!   weight storage and per-channel int8 with i32-exact GEMM kernels.
+//!   to prove every backward pass correct.
 //!
 //! Layers follow an explicit forward/backward contract ([`layer::Layer`])
 //! and the model wires subnets by hand — no autograd graph, which keeps the
@@ -45,11 +43,9 @@ pub mod gradcheck;
 pub mod init;
 pub mod layer;
 pub mod linalg;
-pub mod linalg_i8;
 pub mod loss;
 pub mod optim;
 pub mod pool;
-pub mod quant;
 pub mod serialize;
 pub mod tensor;
 
@@ -60,5 +56,4 @@ pub use dense::Dense;
 pub use layer::{Layer, Param};
 pub use optim::Adam;
 pub use pool::MaxPool2;
-pub use quant::Precision;
 pub use tensor::Tensor;

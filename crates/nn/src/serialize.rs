@@ -7,16 +7,10 @@
 //! can be restored.
 
 use crate::layer::Layer;
-use crate::quant::{f16_bits_to_f32, f32_to_f16_bits, Precision, QuantizedMatrix};
 use crate::tensor::Tensor;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"PDNNWT01";
-
-/// Per-tensor encoding tags of the quantized parameter format.
-const TAG_F32: u32 = 0;
-const TAG_F16: u32 = 1;
-const TAG_INT8: u32 = 2;
 
 /// Writes all parameters of a layer (or composed network).
 ///
@@ -59,225 +53,52 @@ pub fn write_params<L: Layer + ?Sized, W: Write>(layer: &mut L, mut writer: W) -
 /// Restores all parameters of a structurally matching layer. Gradients and
 /// optimizer moments are reset to zero.
 ///
+/// The receiving layer fixes the parameter count and every shape, and each
+/// header field is checked against it before anything is allocated, so a
+/// corrupt file costs at most the layer's own size in memory.
+///
 /// # Errors
 ///
-/// Returns `InvalidData` if the magic, parameter count or any shape does
-/// not match the receiving layer; propagates reader I/O errors.
+/// Returns `InvalidData` if the magic, parameter count, any rank or any
+/// shape does not match the receiving layer; propagates reader I/O errors.
 pub fn read_params<L: Layer + ?Sized, R: Read>(layer: &mut L, mut reader: R) -> io::Result<()> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad weight-file magic"));
+        return Err(bad("bad weight-file magic".into()));
     }
-    let mut u32buf = [0u8; 4];
-    reader.read_exact(&mut u32buf)?;
-    let count = u32::from_le_bytes(u32buf) as usize;
+    let read_u32 = |reader: &mut R| -> io::Result<usize> {
+        let mut b = [0u8; 4];
+        reader.read_exact(&mut b)?;
+        Ok(u32::from_le_bytes(b) as usize)
+    };
 
+    let mut shapes: Vec<Vec<usize>> = Vec::new();
+    layer.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
+    let count = read_u32(&mut reader)?;
+    if count != shapes.len() {
+        return Err(bad(format!("weight file has {count} parameters, layer has {}", shapes.len())));
+    }
     let mut loaded: Vec<Tensor> = Vec::with_capacity(count);
-    for _ in 0..count {
-        reader.read_exact(&mut u32buf)?;
-        let rank = u32::from_le_bytes(u32buf) as usize;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            reader.read_exact(&mut u32buf)?;
-            shape.push(u32::from_le_bytes(u32buf) as usize);
+    for (i, want) in shapes.iter().enumerate() {
+        let rank = read_u32(&mut reader)?;
+        if rank != want.len() {
+            return Err(bad(format!("parameter {i} has rank {rank}, layer has {}", want.len())));
         }
-        let n: usize = shape.iter().product();
-        let mut data = vec![0.0f32; n];
+        let shape = (0..rank).map(|_| read_u32(&mut reader)).collect::<io::Result<Vec<_>>>()?;
+        if &shape != want {
+            return Err(bad(format!("parameter {i} shape {shape:?} in file, {want:?} in layer")));
+        }
+        let mut data = vec![0.0f32; shape.iter().product()];
+        let mut b4 = [0u8; 4];
         for v in &mut data {
-            reader.read_exact(&mut u32buf)?;
-            *v = f32::from_le_bytes(u32buf);
+            reader.read_exact(&mut b4)?;
+            *v = f32::from_le_bytes(b4);
         }
         loaded.push(Tensor::from_vec(&shape, data));
     }
 
-    // Validate against the receiving layer before mutating anything.
-    let mut shapes: Vec<Vec<usize>> = Vec::new();
-    layer.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
-    if shapes.len() != count {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("weight file has {count} parameters, layer has {}", shapes.len()),
-        ));
-    }
-    for (i, (s, t)) in shapes.iter().zip(&loaded).enumerate() {
-        if s != t.shape() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("parameter {i} shape mismatch: file {:?}, layer {:?}", t.shape(), s),
-            ));
-        }
-    }
-    let mut iter = loaded.into_iter();
-    layer.visit_params(&mut |p| {
-        let t = iter.next().expect("count validated");
-        p.value = t;
-        p.grad.zero();
-        p.m.zero();
-        p.v.zero();
-    });
-    Ok(())
-}
-
-/// Writes all parameters in the *quantized* per-tensor-tagged format (no
-/// magic — the caller's container format owns framing and versioning).
-///
-/// Weight tensors (rank ≥ 2) are stored at `precision`: f16 halfwords, or
-/// int8 with one symmetric scale per leading-dimension row. Rank-1 tensors
-/// (biases) always stay f32 — they are tiny and additive error there is
-/// pure loss. Per tensor: `rank u32, shape u32×rank, tag u32, payload`.
-///
-/// Storage compression only: the loader expands everything back to f32 and
-/// the runtime re-quantizes at its own granularity. For matrices whose
-/// runtime GEMM rows coincide with the leading dimension (conv, dense) the
-/// int8 round trip is idempotent — re-quantizing `q·s` with the same rows
-/// reproduces `q` and `s` exactly; layouts quantized on a different axis at
-/// runtime (deconv's materialized transpose) incur one extra bounded
-/// rounding, documented in DESIGN.md §7.4.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_params_quantized<L: Layer + ?Sized, W: Write>(
-    layer: &mut L,
-    precision: Precision,
-    mut writer: W,
-) -> io::Result<()> {
-    let mut params: Vec<Tensor> = Vec::new();
-    layer.visit_params(&mut |p| params.push(p.value.clone()));
-    writer.write_all(&(params.len() as u32).to_le_bytes())?;
-    for t in &params {
-        writer.write_all(&(t.shape().len() as u32).to_le_bytes())?;
-        for &d in t.shape() {
-            writer.write_all(&(d as u32).to_le_bytes())?;
-        }
-        let tag = match precision {
-            _ if t.shape().len() < 2 => TAG_F32,
-            Precision::F32 => TAG_F32,
-            Precision::F16 => TAG_F16,
-            Precision::Int8 => TAG_INT8,
-        };
-        writer.write_all(&tag.to_le_bytes())?;
-        match tag {
-            TAG_F16 => {
-                for &v in t.as_slice() {
-                    writer.write_all(&f32_to_f16_bits(v).to_le_bytes())?;
-                }
-            }
-            TAG_INT8 => {
-                let rows = t.shape()[0];
-                let cols = t.len() / rows;
-                let q = QuantizedMatrix::quantize_rows(rows, cols, t.as_slice());
-                writer.write_all(&(rows as u32).to_le_bytes())?;
-                for &s in q.scales() {
-                    writer.write_all(&s.to_le_bytes())?;
-                }
-                for &v in q.data() {
-                    writer.write_all(&(v as u8).to_le_bytes())?;
-                }
-            }
-            _ => {
-                for v in t.as_slice() {
-                    writer.write_all(&v.to_le_bytes())?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Restores parameters written by [`write_params_quantized`], dequantizing
-/// everything to f32. Gradients and optimizer moments are reset.
-///
-/// # Errors
-///
-/// Returns `InvalidData` if the parameter count, any shape, an encoding
-/// tag, or an int8 scale count does not match; propagates reader errors.
-pub fn read_params_quantized<L: Layer + ?Sized, R: Read>(
-    layer: &mut L,
-    mut reader: R,
-) -> io::Result<()> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut u32buf = [0u8; 4];
-    reader.read_exact(&mut u32buf)?;
-    let count = u32::from_le_bytes(u32buf) as usize;
-
-    let mut loaded: Vec<Tensor> = Vec::with_capacity(count);
-    for i in 0..count {
-        reader.read_exact(&mut u32buf)?;
-        let rank = u32::from_le_bytes(u32buf) as usize;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            reader.read_exact(&mut u32buf)?;
-            shape.push(u32::from_le_bytes(u32buf) as usize);
-        }
-        if shape.is_empty() || shape.contains(&0) {
-            return Err(bad(format!("parameter {i} has degenerate shape {shape:?}")));
-        }
-        let n: usize = shape.iter().product();
-        reader.read_exact(&mut u32buf)?;
-        let tag = u32::from_le_bytes(u32buf);
-        let mut data = vec![0.0f32; n];
-        match tag {
-            TAG_F32 => {
-                for v in &mut data {
-                    reader.read_exact(&mut u32buf)?;
-                    *v = f32::from_le_bytes(u32buf);
-                }
-            }
-            TAG_F16 => {
-                let mut u16buf = [0u8; 2];
-                for v in &mut data {
-                    reader.read_exact(&mut u16buf)?;
-                    *v = f16_bits_to_f32(u16::from_le_bytes(u16buf));
-                }
-            }
-            TAG_INT8 => {
-                reader.read_exact(&mut u32buf)?;
-                let rows = u32::from_le_bytes(u32buf) as usize;
-                if rows != shape[0] {
-                    return Err(bad(format!(
-                        "parameter {i}: int8 scale count {rows} does not match leading dimension {}",
-                        shape[0]
-                    )));
-                }
-                let mut scales = vec![0.0f32; rows];
-                for s in &mut scales {
-                    reader.read_exact(&mut u32buf)?;
-                    *s = f32::from_le_bytes(u32buf);
-                }
-                let cols = n / rows;
-                let mut byte = [0u8; 1];
-                for (r, chunk) in data.chunks_mut(cols).enumerate() {
-                    for v in chunk {
-                        reader.read_exact(&mut byte)?;
-                        *v = byte[0] as i8 as f32 * scales[r];
-                    }
-                }
-            }
-            other => return Err(bad(format!("parameter {i}: unknown encoding tag {other}"))),
-        }
-        loaded.push(Tensor::from_vec(&shape, data));
-    }
-
-    // Validate against the receiving layer before mutating anything.
-    let mut shapes: Vec<Vec<usize>> = Vec::new();
-    layer.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
-    if shapes.len() != count {
-        return Err(bad(format!(
-            "quantized weights have {count} parameters, layer has {}",
-            shapes.len()
-        )));
-    }
-    for (i, (s, t)) in shapes.iter().zip(&loaded).enumerate() {
-        if s != t.shape() {
-            return Err(bad(format!(
-                "parameter {i} shape mismatch: file {:?}, layer {:?}",
-                t.shape(),
-                s
-            )));
-        }
-    }
     let mut iter = loaded.into_iter();
     layer.visit_params(&mut |p| {
         let t = iter.next().expect("count validated");
@@ -320,77 +141,33 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let mut a = Conv2d::new(1, 1, 1, 1, Padding::Zero, 0);
-        let buf = b"NOTMAGIC\0\0\0\0".to_vec();
-        let err = read_params(&mut a, &mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn quantized_f32_round_trip_is_exact() {
-        let mut a = Conv2d::new(2, 3, 3, 1, Padding::Zero, 3);
-        let mut buf = Vec::new();
-        write_params_quantized(&mut a, Precision::F32, &mut buf).unwrap();
-        let x = Tensor::from_fn3(2, 5, 5, |c, h, w| ((c + h + w) % 7) as f32 * 0.3 - 0.9);
-        let want = a.forward(&x);
-        let mut b = Conv2d::new(2, 3, 3, 1, Padding::Zero, 77);
-        read_params_quantized(&mut b, &mut buf.as_slice()).unwrap();
-        assert_eq!(b.forward(&x), want);
-    }
-
-    #[test]
-    fn quantized_int8_round_trip_is_idempotent() {
-        // Save -> load -> save must be byte-identical: re-quantizing q·s
-        // along the same rows reproduces q and s exactly.
-        let mut a = Conv2d::new(2, 4, 3, 1, Padding::Zero, 9);
-        let mut buf1 = Vec::new();
-        write_params_quantized(&mut a, Precision::Int8, &mut buf1).unwrap();
-        let mut b = Conv2d::new(2, 4, 3, 1, Padding::Zero, 50);
-        read_params_quantized(&mut b, &mut buf1.as_slice()).unwrap();
-        let mut buf2 = Vec::new();
-        write_params_quantized(&mut b, Precision::Int8, &mut buf2).unwrap();
-        assert_eq!(buf1, buf2);
-    }
-
-    #[test]
-    fn quantized_f16_bounds_error() {
-        let mut a = Conv2d::new(1, 2, 3, 1, Padding::Zero, 4);
-        let mut buf = Vec::new();
-        write_params_quantized(&mut a, Precision::F16, &mut buf).unwrap();
-        let mut b = Conv2d::new(1, 2, 3, 1, Padding::Zero, 4);
-        read_params_quantized(&mut b, &mut buf.as_slice()).unwrap();
-        let (mut wa, mut wb) = (Vec::new(), Vec::new());
-        a.visit_params(&mut |p| wa.extend_from_slice(p.value.as_slice()));
-        b.visit_params(&mut |p| wb.extend_from_slice(p.value.as_slice()));
-        for (x, y) in wa.iter().zip(&wb) {
-            assert!((x - y).abs() <= x.abs() * 1e-3 + 1e-7, "{x} vs {y}");
+    fn hostile_headers_rejected_before_allocating() {
+        // Trusted, each header would ask the allocator for 206 GB of
+        // tensors (count = u32::MAX), 34 GB of dimensions (rank =
+        // u32::MAX) or 4.4 TB of weights (a 2^20 x 2^20 x 1 x 1 kernel).
+        let header = |words: &[u32]| {
+            let mut buf = MAGIC.to_vec();
+            for w in words {
+                buf.extend_from_slice(&w.to_le_bytes());
+            }
+            buf
+        };
+        let mut conv = Conv2d::new(1, 1, 1, 1, Padding::Zero, 0);
+        for (what, buf) in [
+            ("count", header(&[u32::MAX])),
+            ("rank", header(&[2, u32::MAX])),
+            ("shape", header(&[2, 4, 1 << 20, 1 << 20, 1, 1])),
+        ] {
+            let err = read_params(&mut conv, &mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
         }
     }
 
     #[test]
-    fn int8_scale_count_mismatch_rejected() {
-        let mut a = Conv2d::new(1, 2, 3, 1, Padding::Zero, 6);
-        let mut buf = Vec::new();
-        write_params_quantized(&mut a, Precision::Int8, &mut buf).unwrap();
-        // The weight block starts after the count: rank(4) + shape(4x4) +
-        // tag(4) = 24 bytes in; corrupt the stored scale count (rows).
-        let rows_offset = 4 + 4 + 4 * 4 + 4;
-        buf[rows_offset..rows_offset + 4].copy_from_slice(&3u32.to_le_bytes());
-        let mut b = Conv2d::new(1, 2, 3, 1, Padding::Zero, 6);
-        let err = read_params_quantized(&mut b, &mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("scale count"), "{err}");
-    }
-
-    #[test]
-    fn unknown_tag_rejected() {
+    fn bad_magic_rejected() {
         let mut a = Conv2d::new(1, 1, 1, 1, Padding::Zero, 0);
-        let mut buf = Vec::new();
-        write_params_quantized(&mut a, Precision::F32, &mut buf).unwrap();
-        let tag_offset = 4 + 4 + 4 * 4; // count, rank, shape -> first tag
-        buf[tag_offset..tag_offset + 4].copy_from_slice(&9u32.to_le_bytes());
-        let err = read_params_quantized(&mut a, &mut buf.as_slice()).unwrap_err();
+        let buf = b"NOTMAGIC\0\0\0\0".to_vec();
+        let err = read_params(&mut a, &mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 

@@ -189,16 +189,6 @@ impl PowerNet {
         &self.config
     }
 
-    /// Switches the core CNN's inference weights (f32 / f16 / int8).
-    pub fn set_precision(&mut self, p: pdn_nn::quant::Precision) {
-        self.core.set_precision(p);
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> pdn_nn::quant::Precision {
-        self.core.precision()
-    }
-
     /// Extracts the `[2, w, w]` window centered on tile `(r, c)` from one
     /// decomposed map + the average map (zero beyond map borders).
     #[cfg(test)]

@@ -5,7 +5,6 @@ use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::dense::Dense;
 use pdn_nn::layer::{Layer, Param};
 use pdn_nn::pool::MaxPool2;
-use pdn_nn::quant::Precision;
 use pdn_nn::tensor::Tensor;
 
 /// PowerNet's window CNN: two conv+pool stages followed by two dense
@@ -71,19 +70,6 @@ impl PowerNetCore {
     /// The input window size.
     pub fn window(&self) -> usize {
         self.window
-    }
-
-    /// Switches the conv and dense layers' inference weights to `p`.
-    pub fn set_precision(&mut self, p: Precision) {
-        self.conv1.set_precision(p);
-        self.conv2.set_precision(p);
-        self.fc1.set_precision(p);
-        self.fc2.set_precision(p);
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> Precision {
-        self.conv1.precision()
     }
 }
 

@@ -119,15 +119,19 @@ grep -q '"name":"factor.predicted_nnz_l.amd"' "$amd_t" \
 echo "amd ordering: forced leg ok, auto-compare picked amd and exported both fills"
 
 echo
-echo "== quantization accuracy smoke =="
-# f16/int8 must stay within the accuracy gates of pdn-eval::quantization
-# (the eval exits non-zero and prints the offending precision otherwise).
-quant_out="$(./target/release/pdn eval --design D1 --vectors 4 --steps 30 \
-    --epochs 2 --cache-dir none --precision all)" \
-    || { echo "quantization smoke: eval failed"; exit 1; }
-grep -q 'quantization gate : ok' <<<"$quant_out" \
-    || { echo "quantization smoke: accuracy gate failed"; echo "$quant_out"; exit 1; }
-echo "quantization gate: f16 + int8 within accuracy bounds"
+echo "== unknown CLI flags =="
+# A misspelt or retired flag must fail and name itself instead of running
+# with the flag's default.
+flag_out="$(./target/release/pdn predict --model "$cache_dir/threads1/model.pdn" \
+    --design D1 --precision int8 2>&1)" \
+    && { echo "flag check: predict accepted --precision"; exit 1; }
+grep -q 'unknown flag --precision' <<<"$flag_out" \
+    || { echo "flag check: predict error does not name --precision"; echo "$flag_out"; exit 1; }
+flag_out="$(./target/release/pdn simulate --design D1 --sovler direct 2>&1)" \
+    && { echo "flag check: simulate accepted --sovler"; exit 1; }
+grep -q 'unknown flag --sovler' <<<"$flag_out" \
+    || { echo "flag check: simulate error does not name --sovler"; echo "$flag_out"; exit 1; }
+echo "unknown flags: predict --precision and simulate --sovler rejected by name"
 
 echo
 echo "== serve smoke =="

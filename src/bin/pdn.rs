@@ -19,11 +19,9 @@ use pdn_wnv::eval::harness::{EvalOptions, EvaluatedDesign, ExperimentConfig};
 use pdn_wnv::eval::render::{ascii_map, write_csv};
 use pdn_wnv::eval::tracereport::{self, ReportOptions, TelemetryLog};
 use pdn_wnv::grid::design::{DesignPreset, DesignScale};
-use pdn_wnv::eval::quantization;
 use pdn_wnv::model::checkpoint::CheckpointConfig;
 use pdn_wnv::model::model::Predictor;
 use pdn_wnv::model::trainer::TrainConfig;
-use pdn_wnv::nn::quant::Precision;
 use pdn_wnv::sim::transient::stamp_transient_system;
 use pdn_wnv::sim::wnv::WnvRunner;
 use pdn_wnv::sim::{SolverKind, WnvCache};
@@ -53,31 +51,31 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  pdn info            --design D1..D4 [--scale tiny|ci|paper]
+  pdn info            --design D1..D4 [--scale tiny|ci|paper] [--seed K]
   pdn simulate        --design D1..D4 [--scale S] [--steps N] [--seed K]
                       [--vector FILE.csv] [--out DIR] [--solver cg|direct]
   pdn factor          --design D1..D4 [--scale S] [--seed K] [--rhs N]
                       [--ordering auto|natural|rcm|amd]
-  pdn train           --design D1..D4 [--scale S] [--vectors N] [--epochs E] --out MODEL
+  pdn train           --design D1..D4 [--scale S] [--vectors N] [--steps N]
+                      [--epochs E] [--seed K] --out MODEL
                       [--cache-dir DIR|none] [--solver cg|direct]
                       [--checkpoint FILE.ckpt] [--checkpoint-every N]
                       [--checkpoint-keep K] [--resume true]
-  pdn eval            --design D1..D4 [--scale S] [--vectors N] [--epochs E]
+  pdn eval            --design D1..D4 [--scale S] [--vectors N] [--steps N]
+                      [--epochs E] [--seed K]
                       [--cache-dir DIR|none] [--solver cg|direct]
                       [--checkpoint FILE.ckpt] [--checkpoint-every N]
                       [--checkpoint-keep K] [--resume true]
-                      [--precision f16|int8|all]
-  pdn predict         --model MODEL --design D1..D4 [--scale S] [--seed K]
-                      [--vector FILE.csv] [--out DIR] [--precision f32|f16|int8]
+  pdn predict         --model MODEL --design D1..D4 [--scale S] [--steps N]
+                      [--seed K] [--vector FILE.csv] [--out DIR]
   pdn serve           --model MODEL --design D1..D4 [--scale S]
                       [--addr HOST:PORT] [--workers N] [--max-batch B]
                       [--max-wait-ms MS] [--max-queue N]
                       [--access-log FILE.jsonl]
-                      [--precision f32|f16|int8]
                       [--cache-dir DIR|none] [--solver cg|direct]
   pdn cache stats     [--cache-dir DIR]
   pdn cache gc        [--cache-dir DIR] [--max-mb MB] [--max-age-days D]
-  pdn export-netlist  --design D1..D4 [--scale S] --out FILE.sp
+  pdn export-netlist  --design D1..D4 [--scale S] [--seed K] --out FILE.sp
   pdn export-vector   --design D1..D4 [--scale S] [--steps N] [--seed K] --out FILE.csv
   pdn report          RUN.jsonl [BASELINE.jsonl] [--out REPORT.md] [--trace TRACE.json]
                       [--slow-ratio R] [--strict true]
@@ -90,7 +88,8 @@ factorization, and an N-RHS solve sweep (default 1000) — and prints each
 phase's wall clock; use `--scale full` for a paper-D1-class feasibility
 run. PDN_THREADS fans the sweep's RHS blocks across threads.
 
-every command (except report) also accepts:
+every command rejects a flag not listed for it above; every command
+except report also accepts:
   --telemetry FILE.jsonl   record per-stage timing, trace spans, solver and
                            training metrics to FILE.jsonl and print a summary
                            table (PDN_TELEMETRY=<path|1> does the same from
@@ -106,11 +105,6 @@ generations and prunes all but the newest K.
 `pdn cache stats` sizes the ground-truth cache up; `pdn cache gc` evicts
 entries older than --max-age-days, then oldest-first until the cache fits
 in --max-mb.
-
-`pdn eval --precision f16|int8|all` replays the held-out vectors through
-the quantized inference path and fails when its deviation from f32 exceeds
-the accuracy gate; `pdn predict --precision` serves a query at the chosen
-precision.
 
 `pdn serve` runs the predictor as an HTTP daemon: POST a vector CSV to
 /predict (CNN inference) or /simulate (cached ground truth); concurrent
@@ -131,6 +125,44 @@ the two runs and flags stages slower than R x (default 2.0). --trace writes
 a Chrome-trace JSON loadable at https://ui.perfetto.dev. --strict true
 exits non-zero when a regression is flagged.";
 
+/// A flag-driven command: runs on its parsed `--flag value` options.
+type Command = fn(&HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>>;
+
+/// Every flag-driven command with the flags it accepts, as listed in
+/// [`USAGE`] (`--telemetry` is accepted by all of them).
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("info", &["design", "scale", "seed"], info),
+    ("simulate", &["design", "scale", "steps", "seed", "vector", "out", "solver"], simulate),
+    ("factor", &["design", "scale", "seed", "rhs", "ordering"], factor),
+    (
+        "train",
+        &[
+            "design", "scale", "vectors", "steps", "epochs", "seed", "out", "cache-dir", "solver",
+            "checkpoint", "checkpoint-every", "checkpoint-keep", "resume",
+        ],
+        train,
+    ),
+    (
+        "eval",
+        &[
+            "design", "scale", "vectors", "steps", "epochs", "seed", "cache-dir", "solver",
+            "checkpoint", "checkpoint-every", "checkpoint-keep", "resume",
+        ],
+        eval_cmd,
+    ),
+    ("predict", &["model", "design", "scale", "steps", "seed", "vector", "out"], predict),
+    (
+        "serve",
+        &[
+            "model", "design", "scale", "addr", "workers", "max-batch", "max-wait-ms", "max-queue",
+            "access-log", "cache-dir", "solver",
+        ],
+        serve_cmd,
+    ),
+    ("export-netlist", &["design", "scale", "seed", "out"], export_netlist),
+    ("export-vector", &["design", "scale", "steps", "seed", "out"], export_vector),
+];
+
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some((command, rest)) = args.split_first() else {
         return Err("missing command".into());
@@ -144,7 +176,10 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         // `cache` takes a positional subcommand and only touches files.
         return cache_cmd(rest);
     }
-    let opts = parse_flags(rest)?;
+    let Some(&(_, flags, command_fn)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        return Err(format!("unknown command `{command}`").into());
+    };
+    let opts = parse_flags(rest, flags)?;
     if let Some(path) = opts.get("telemetry") {
         telemetry::enable_with_sink(Path::new(path))
             .map_err(|e| format!("--telemetry {path}: {e}"))?;
@@ -153,18 +188,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // sink hangs off it and its duration matches the `cli.command` event.
     let mut root = telemetry::span(&format!("cli.{command}"));
     let t_command = Instant::now();
-    let result = match command.as_str() {
-        "info" => info(&opts),
-        "simulate" => simulate(&opts),
-        "factor" => factor(&opts),
-        "train" => train(&opts),
-        "eval" => eval_cmd(&opts),
-        "predict" => predict(&opts),
-        "serve" => serve_cmd(&opts),
-        "export-netlist" => export_netlist(&opts),
-        "export-vector" => export_vector(&opts),
-        other => Err(format!("unknown command `{other}`").into()),
-    };
+    let result = command_fn(&opts);
     root.set_ok(result.is_ok());
     drop(root);
     if telemetry::enabled() {
@@ -226,6 +250,9 @@ fn report_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !["out", "trace", "slow-ratio", "strict"].contains(&name) {
+                return Err(format!("unknown flag --{name}").into());
+            }
             let Some(value) = it.next() else {
                 return Err(format!("flag --{name} needs a value").into());
             };
@@ -282,13 +309,22 @@ fn report_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, Box<dyn std::error::Error>> {
+/// Parses `--name value` pairs. A flag outside `known` (and other than
+/// `--telemetry`) is an error, so a misspelt flag cannot silently leave
+/// its default in place.
+fn parse_flags(
+    args: &[String],
+    known: &[&str],
+) -> Result<HashMap<String, String>, Box<dyn std::error::Error>> {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{flag}`").into());
         };
+        if name != "telemetry" && !known.contains(&name) {
+            return Err(format!("unknown flag --{name}").into());
+        }
         let Some(value) = it.next() else {
             return Err(format!("flag --{name} needs a value").into());
         };
@@ -360,7 +396,9 @@ fn cache_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let Some((verb, rest)) = args.split_first() else {
         return Err("cache needs a subcommand (stats|gc)".into());
     };
-    let opts = parse_flags(rest)?;
+    let known: &[&str] =
+        if verb == "gc" { &["cache-dir", "max-mb", "max-age-days"] } else { &["cache-dir"] };
+    let opts = parse_flags(rest, known)?;
     let Some(cache) = cache_from_opts(&opts)? else {
         return Err("caching is disabled (--cache-dir/PDN_CACHE_DIR is none)".into());
     };
@@ -700,7 +738,7 @@ fn eval_cmd(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Er
         config.train.epochs
     );
     let t0 = Instant::now();
-    let mut eval = run_pipeline(preset, &config, opts)?;
+    let eval = run_pipeline(preset, &config, opts)?;
     let stats = pdn_wnv::eval::metrics::pooled_error_stats(&eval.test_pairs);
     println!("done in {:.1}s", t0.elapsed().as_secs_f64());
     println!("held-out accuracy : {stats}");
@@ -710,27 +748,6 @@ fn eval_cmd(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Er
         eval.predict_time_per_vector.as_secs_f64(),
         eval.speedup()
     );
-    if let Some(spec) = opts.get("precision") {
-        let precisions: Vec<Precision> = match spec.trim() {
-            "all" => vec![Precision::F16, Precision::Int8],
-            one => vec![one.parse().map_err(|e| format!("bad --precision: {e}"))?],
-        };
-        let vectors: Vec<_> =
-            eval.test_indices.iter().map(|&i| eval.prepared.vectors[i].clone()).collect();
-        let truths: Vec<_> = eval.test_pairs.iter().map(|(_, t)| t.clone()).collect();
-        let report = stage("quantization", || {
-            quantization::compare_precisions(
-                &mut eval.predictor,
-                &eval.prepared.grid,
-                &vectors,
-                &truths,
-                &precisions,
-            )
-        });
-        print!("{report}");
-        quantization::check_gates(&report).map_err(|e| format!("quantization gate: {e}"))?;
-        println!("quantization gate : ok");
-    }
     Ok(())
 }
 
@@ -742,16 +759,12 @@ fn predict(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Err
     })?;
     let seed = parse(opts, "seed", 7u64)?;
     let mut predictor = try_stage("load_model", || Predictor::load_from(model_path))?;
-    if let Some(p) = parse_opt::<Precision>(opts, "precision")? {
-        predictor.set_precision(p);
-    }
     let vector = try_stage("load_vector", || load_or_generate_vector(opts, &grid))?;
     let t0 = Instant::now();
     let map = stage("predict", || predictor.predict(&grid, &vector));
     println!(
-        "predicted in {:.4}s at {}: worst droop {}",
+        "predicted in {:.4}s: worst droop {}",
         t0.elapsed().as_secs_f64(),
-        predictor.precision(),
         Volts(map.max())
     );
     println!("\n{}", ascii_map(&map, 0.0, map.max().max(1e-9)));
@@ -794,10 +807,7 @@ fn serve_cmd(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::E
     let grid = try_stage("build_grid", || -> Result<_, Box<dyn std::error::Error>> {
         Ok(preset.spec(scale(opts)?).build(1)?)
     })?;
-    let mut predictor = try_stage("load_model", || Predictor::load_from(model_path))?;
-    if let Some(p) = parse_opt::<Precision>(opts, "precision")? {
-        predictor.set_precision(p);
-    }
+    let predictor = try_stage("load_model", || Predictor::load_from(model_path))?;
     let kind = solver(opts)?;
     let runner = try_stage("factorize", || WnvRunner::with_solver(&grid, kind))?;
     let cache = cache_from_opts(opts)?;

@@ -207,6 +207,25 @@ fn cli_simulate_then_report_round_trip() {
 }
 
 #[test]
+fn cli_rejects_unknown_flags_by_name() {
+    // A misspelt flag, and one that no longer exists, must fail up front
+    // instead of running with the flag's default.
+    let exe = env!("CARGO_BIN_EXE_pdn");
+    let model = temp_path("no-such-model.pdn");
+    let model = model.to_str().expect("utf-8 temp path");
+    let cases: [(&[&str], &str); 2] = [
+        (&["simulate", "--design", "D1", "--sovler", "direct"], "--sovler"),
+        (&["predict", "--model", model, "--design", "D1", "--precision", "int8"], "--precision"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(exe).args(args).output().expect("run pdn");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn cli_report_strict_fails_on_a_regressed_stage() {
     let exe = env!("CARGO_BIN_EXE_pdn");
     let base_path = temp_path("diff-base.jsonl");
