@@ -13,7 +13,7 @@
 //!   the dependency-free content digest that keys the ground-truth cache
 //!   and seals checkpoints against torn reads;
 //! * deterministic [`rng`] construction so every experiment is reproducible;
-//! * process-wide [`threads`] configuration (the `PDN_THREADS` override);
+//! * the process's [`threads`] width (the `PDN_THREADS` override);
 //! * the [`telemetry`] registry — counters, gauges, histograms, scoped
 //!   timers and a JSON-lines sink — that every hot path reports to when
 //!   `PDN_TELEMETRY` (or the `pdn --telemetry` flag) is set;

@@ -1,73 +1,41 @@
-//! Process-wide thread-pool configuration.
+//! The process's thread width.
 //!
-//! Every parallel region in the workspace runs on rayon's global pool, so
-//! one override point suffices: [`configure_from_env`] reads `PDN_THREADS`
-//! and sizes the pool before any parallel work executes. Binaries call it
-//! first thing in `main`; the first call wins because rayon's global pool
-//! is immutable once built.
+//! Two places run work on more than one thread: the supernodal multi-RHS
+//! sweep and `pdn serve`'s connection workers. Both size themselves by
+//! [`width`], which reads `PDN_THREADS` once per process; everything else
+//! runs on the calling thread.
 
 use std::sync::OnceLock;
 
-static CONFIGURED: OnceLock<usize> = OnceLock::new();
+static WIDTH: OnceLock<usize> = OnceLock::new();
 
-/// Sizes the global rayon pool from the `PDN_THREADS` environment variable
-/// and returns the effective worker count.
+/// The thread width requested by the `PDN_THREADS` environment variable,
+/// read on the first call; later calls return the same value.
 ///
-/// `PDN_THREADS=<n>` with `n ≥ 1` requests an `n`-thread pool; `0`, unset,
-/// or unparsable values keep rayon's default (one thread per core). Only
-/// the first call in a process takes effect — rayon's global pool cannot
-/// be resized — and later calls report the width chosen then. If another
-/// component already built the pool at a different width, the request
-/// cannot take effect: the mismatch is reported on stderr and counted as
-/// `core.threads.ignored_env` so a long-running daemon that was started
-/// with a stale pool is visible in telemetry instead of silently
-/// misconfigured forever.
-pub fn configure_from_env() -> usize {
-    *CONFIGURED.get_or_init(|| apply_request(std::env::var("PDN_THREADS").ok().as_deref()))
+/// `PDN_THREADS=<n>` with `n ≥ 1` gives `n`; unset or empty gives 1. Zero
+/// and unparsable values also give 1, with a warning on stderr and a
+/// `core.threads.invalid_env` count, so a typo like `PDN_THREADS=O4` is
+/// not mistaken for a deliberate single-thread run.
+pub fn width() -> usize {
+    *WIDTH.get_or_init(|| width_from(std::env::var("PDN_THREADS").ok().as_deref()))
 }
 
-/// The body of [`configure_from_env`] without the once-per-process latch,
-/// so tests can drive it directly against a pre-built pool.
-fn apply_request(raw: Option<&str>) -> usize {
-    if let Some(raw) = raw.filter(|r| !r.trim().is_empty()) {
-        match parse_thread_request(raw) {
-            Ok(n) => {
-                if rayon::ThreadPoolBuilder::new().num_threads(n).build_global().is_err() {
-                    // The global pool was already built by an earlier caller
-                    // and cannot be resized. Dropping the error here (the
-                    // old behaviour) left a daemon misconfigured forever
-                    // with no trace; report the mismatch instead.
-                    let effective = rayon::current_num_threads();
-                    if effective != n {
-                        eprintln!(
-                            "pdn-core: PDN_THREADS={n} ignored: the global thread pool was \
-                             already built with {effective} threads and cannot be resized; \
-                             restart the process to apply the new width"
-                        );
-                        crate::telemetry::counter_add("core.threads.ignored_env", 1);
-                    }
-                }
-            }
-            Err(why) => {
-                // The old behaviour was to silently fall back to the
-                // default width, which made typos like PDN_THREADS=O4
-                // indistinguishable from a deliberate full-width run.
-                eprintln!(
-                    "pdn-core: ignoring PDN_THREADS={raw:?} ({why}); \
-                     using rayon's default width"
-                );
-                crate::telemetry::counter_add("core.threads.invalid_env", 1);
-            }
-        }
-    }
-    rayon::current_num_threads()
+/// The body of [`width`] without the once-per-process latch.
+fn width_from(raw: Option<&str>) -> usize {
+    let Some(raw) = raw.filter(|r| !r.trim().is_empty()) else {
+        return 1;
+    };
+    parse_thread_request(raw).unwrap_or_else(|why| {
+        eprintln!("pdn-core: ignoring PDN_THREADS={raw:?} ({why}); using 1 thread");
+        crate::telemetry::counter_add("core.threads.invalid_env", 1);
+        1
+    })
 }
 
-/// Parses a `PDN_THREADS` value into a pool width.
+/// Parses a `PDN_THREADS` value into a thread width.
 ///
-/// Accepts positive integers; rejects zero (rayon would interpret it as
-/// "default width", which is better requested by unsetting the variable)
-/// and anything unparsable.
+/// Accepts positive integers; rejects zero (the single-thread default is
+/// better requested by unsetting the variable) and anything unparsable.
 fn parse_thread_request(raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {
         Ok(0) => Err("thread count must be >= 1".to_string()),
@@ -82,9 +50,18 @@ mod tests {
 
     #[test]
     fn reports_a_positive_width_and_is_idempotent() {
-        let first = configure_from_env();
+        let first = width();
         assert!(first >= 1);
-        assert_eq!(configure_from_env(), first);
+        assert_eq!(width(), first);
+    }
+
+    #[test]
+    fn unset_empty_and_invalid_values_give_one_thread() {
+        assert_eq!(width_from(None), 1);
+        assert_eq!(width_from(Some("  ")), 1);
+        assert_eq!(width_from(Some("0")), 1);
+        assert_eq!(width_from(Some("O4")), 1);
+        assert_eq!(width_from(Some("3")), 3);
     }
 
     #[test]

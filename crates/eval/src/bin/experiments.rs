@@ -22,8 +22,9 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 fn main() {
-    pdn_core::threads::configure_from_env();
     pdn_core::telemetry::init_from_env();
+    // Report a bad PDN_THREADS up front.
+    pdn_core::threads::width();
     // Flush the telemetry sink (with summary records) even if a driver
     // panics partway through the suite.
     let _flush = pdn_core::telemetry::FlushGuard::new();

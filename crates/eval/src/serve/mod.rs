@@ -61,9 +61,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8320`. Port `0` picks an ephemeral
     /// port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Connection-handling worker threads. `0` sizes from the process-wide
-    /// thread configuration (`PDN_THREADS`), with a floor of 2 so batching
-    /// is possible at all.
+    /// Connection-handling worker threads. `0` sizes from the process's
+    /// thread width (`PDN_THREADS`), with a floor of 2 so batching is
+    /// possible at all.
     pub workers: usize,
     /// Batch formation for `/predict`.
     pub predict_batch: BatchConfig,
@@ -296,7 +296,7 @@ pub fn serve(
 
     let stop = Arc::new(AtomicBool::new(false));
     let workers = if cfg.workers == 0 {
-        pdn_core::threads::configure_from_env().max(2)
+        pdn_core::threads::width().max(2)
     } else {
         cfg.workers
     };

@@ -75,7 +75,8 @@ pub struct MapResponse {
     pub queue_us: u64,
     /// Microseconds of inference/simulation, shared by the whole batch.
     pub compute_us: u64,
-    /// Simulator wall clock for this vector (simulate only).
+    /// Simulator wall clock for this vector, its share of a lockstep batch
+    /// (simulate only).
     pub sim_elapsed_us: Option<u64>,
     /// Transient steps marched (simulate only).
     pub sim_steps: Option<usize>,

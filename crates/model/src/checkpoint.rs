@@ -203,17 +203,13 @@ pub fn load(path: &Path) -> io::Result<TrainState> {
     let mut rng_state = [0u8; rng::STATE_BYTES];
     r.read_exact(&mut rng_state).map_err(|_| invalid("truncated checkpoint"))?;
     let order_len = read_u32(&mut r)? as usize;
-    if order_len > (1 << 28) {
-        return Err(invalid("implausible order length"));
-    }
+    fits(r, order_len, 8, "sample order")?;
     let mut order = Vec::with_capacity(order_len);
     for _ in 0..order_len {
         order.push(read_u64(&mut r)? as usize);
     }
     let epoch_count = read_u32(&mut r)? as usize;
-    if epoch_count > (1 << 28) {
-        return Err(invalid("implausible epoch count"));
-    }
+    fits(r, epoch_count, 8, "loss history")?;
     let mut history = TrainHistory::default();
     for _ in 0..epoch_count {
         let train_loss = read_f32(&mut r)?;
@@ -221,9 +217,8 @@ pub fn load(path: &Path) -> io::Result<TrainState> {
         history.epochs.push(EpochStats { train_loss, val_loss });
     }
     let param_count = read_u32(&mut r)? as usize;
-    if param_count > (1 << 20) {
-        return Err(invalid("implausible parameter count"));
-    }
+    // Every parameter starts with its rank word.
+    fits(r, param_count, 4, "parameter list")?;
     let mut params = Vec::with_capacity(param_count);
     for _ in 0..param_count {
         let rank = read_u32(&mut r)? as usize;
@@ -237,9 +232,8 @@ pub fn load(path: &Path) -> io::Result<TrainState> {
         let n: usize = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)).ok_or_else(
             || invalid("tensor shape overflows"),
         )?;
-        if n > (1 << 30) {
-            return Err(invalid("implausible tensor size"));
-        }
+        // Value, first and second moment.
+        fits(r, n, 3 * 4, "parameter tensor")?;
         let mut tensors = Vec::with_capacity(3);
         for _ in 0..3 {
             let mut data = Vec::with_capacity(n);
@@ -314,6 +308,16 @@ pub fn prune_generations(path: &Path, keep: usize) -> io::Result<usize> {
         std::fs::remove_file(p)?;
     }
     Ok(cut)
+}
+
+/// Fails unless `count` items of `size` bytes fit in the unread input `r`.
+/// The seal is not cryptographic, so a crafted header can pass it: every
+/// declared size is checked against the bytes present before allocating.
+fn fits(r: &[u8], count: usize, size: usize, what: &str) -> io::Result<()> {
+    match count.checked_mul(size) {
+        Some(bytes) if bytes <= r.len() => Ok(()),
+        _ => Err(invalid(format!("{what} longer than the checkpoint"))),
+    }
 }
 
 fn read_u32(r: &mut &[u8]) -> io::Result<u32> {
@@ -408,6 +412,34 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(load(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// A correctly sealed checkpoint body: header fields, then `tail`.
+    fn sealed(order_len: u32, tail: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&[0u8; 3 * 8 + rng::STATE_BYTES]);
+        out.extend_from_slice(&order_len.to_le_bytes());
+        out.extend_from_slice(tail);
+        let seal = fsio::digest_bytes(&out[MAGIC.len()..]);
+        out.extend_from_slice(&seal.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn overstated_sizes_rejected_before_allocating() {
+        let path = tmp_path("overstated");
+        // 2^32 - 1 order entries (32 GiB of usize) behind 16 bytes.
+        std::fs::write(&path, sealed(u32::MAX, &[0u8; 16])).unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(err.to_string().contains("sample order longer"), "{err}");
+        // No epochs, then one rank-1 parameter of 2^30 elements (three
+        // 4 GiB tensors) behind 12 bytes.
+        let tail: Vec<u8> =
+            [0u32, 1, 1, 1 << 30].iter().flat_map(|w| w.to_le_bytes()).chain([0u8; 12]).collect();
+        std::fs::write(&path, sealed(0, &tail)).unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(err.to_string().contains("parameter tensor longer"), "{err}");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

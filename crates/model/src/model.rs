@@ -12,7 +12,6 @@ use pdn_grid::build::PowerGrid;
 use pdn_nn::layer::{Layer, Param};
 use pdn_nn::tensor::Tensor;
 use pdn_vectors::vector::TestVector;
-use rayon::prelude::*;
 
 /// Kernel counts of the three subnets. The paper's setting is
 /// `C1 = C2 = 8`, `C3 = 16` (§4.1) — the default.
@@ -102,17 +101,9 @@ impl WnvModel {
 
         let d_tilde = self.distance_net.forward(&padded_distance);
         let padded_currents: Vec<Tensor> = currents.iter().map(pad_to_multiple4).collect();
-        // The fusion subnet runs once per time sample with shared weights;
-        // the samples are independent, so run them in parallel on clones.
-        let fused: Vec<Tensor> = if padded_currents.len() >= 8 {
-            let proto = self.fusion_net.clone();
-            padded_currents
-                .par_iter()
-                .map_init(|| proto.clone(), |net, c| net.forward(c))
-                .collect()
-        } else {
-            padded_currents.iter().map(|c| self.fusion_net.forward(c)).collect()
-        };
+        // The fusion subnet runs once per time sample with shared weights.
+        let fused: Vec<Tensor> =
+            padded_currents.iter().map(|c| self.fusion_net.forward(c)).collect();
         let stats = TemporalStats::forward(&fused);
         let cat = Tensor::concat_channels(&[&d_tilde, &stats.max, &stats.mean_extreme, &stats.msd]);
         let out = self.prediction_net.forward(&cat);
@@ -154,9 +145,8 @@ impl WnvModel {
         // Fusion subnet: its cache only covers the last map, so re-run the
         // forward per map before its backward (recompute-instead-of-store).
         // Sequences of 8 or more maps accumulate on one zero-grad clone,
-        // merged once; shorter ones accumulate in place. Either order is
-        // fixed, so the gradients (and the trained bundle) do not depend on
-        // the thread-pool width.
+        // merged once; shorter ones accumulate in place. The two sum in
+        // different orders, so trained bundles depend on this split.
         let per_map = cache.stats.backward(&cache.fused, g_max, g_mean, g_msd);
         let pairs: Vec<(&Tensor, &Tensor)> =
             cache.padded_currents.iter().zip(&per_map).collect();

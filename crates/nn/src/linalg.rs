@@ -10,8 +10,6 @@
 //! runtime to an AVX-512 or AVX variant built from separate multiply and
 //! add (never FMA), preserving that bitwise guarantee.
 
-use rayon::prelude::*;
-
 /// Micro-kernel tile height (rows of `C` held in registers).
 const MR: usize = 4;
 /// Micro-kernel tile width (columns of `C` held in registers; one AVX-512
@@ -20,8 +18,6 @@ const NR: usize = 16;
 /// `k`-blocking depth: one packed `A` strip of `KC` values per row block
 /// stays resident in L1 while the micro-kernel streams the `B` panel.
 const KC: usize = 256;
-/// Flop-count threshold above which row strips fan out across rayon.
-const PAR_THRESHOLD: usize = 1 << 18;
 /// Below this flop count the packing overhead outweighs the blocked
 /// driver; the convenience wrappers fall back to the naive loops.
 const SMALL_CUTOFF: usize = 1 << 12;
@@ -292,8 +288,8 @@ fn blocked<A, B>(
     c: &mut [f32],
     scratch: &mut GemmScratch,
 ) where
-    A: Fn(usize, usize) -> f32 + Sync,
-    B: Fn(usize, usize) -> f32 + Sync,
+    A: Fn(usize, usize) -> f32,
+    B: Fn(usize, usize) -> f32,
 {
     c.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
@@ -305,7 +301,6 @@ fn blocked<A, B>(
     scratch.pack_a.resize(mp * kc_max, 0.0);
     let row_strips = mp / MR;
     let col_panels = np / NR;
-    let parallel = m * k * n >= PAR_THRESHOLD;
     let level = isa();
 
     if let (Some(bs), true) = (direct_b, row_strips <= 4) {
@@ -413,7 +408,7 @@ fn blocked<A, B>(
         }
         let pa = &scratch.pack_a[..mp * kc];
         let pb = &scratch.pack_b[..np * kc];
-        let strip = |(ip, c_strip): (usize, &mut [f32])| {
+        for (ip, c_strip) in c.chunks_mut(MR * n).enumerate() {
             let rows = c_strip.len() / n;
             let pa_s = &pa[ip * kc * MR..][..kc * MR];
             for jp in 0..col_panels {
@@ -440,11 +435,6 @@ fn blocked<A, B>(
                     c_strip[ii * n + j0..ii * n + j0 + jlen].copy_from_slice(&row[..jlen]);
                 }
             }
-        };
-        if parallel {
-            c.par_chunks_mut(MR * n).enumerate().for_each(strip);
-        } else {
-            c.chunks_mut(MR * n).enumerate().for_each(strip);
         }
         kb += kc;
     }
@@ -653,8 +643,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threshold_path_is_bitwise_stable() {
-        // Big enough for the rayon fan-out branch (m·k·n ≥ 2^18).
+    fn many_row_strips_are_bitwise_stable() {
+        // Eight row strips over ten column panels: the packed path, not
+        // the wide one.
         let (m, k, n) = (32, 64, 160);
         let a = ramp(m * k, 0.5, -3.0);
         let b = ramp(k * n, 0.25, 0.5);

@@ -14,7 +14,6 @@ use pdn_nn::tensor::Tensor;
 use pdn_sim::wnv::NoiseReport;
 use pdn_vectors::vector::TestVector;
 use rand::Rng as _;
-use rayon::prelude::*;
 
 /// PowerNet hyper-parameters. The paper's Table 3 experiment uses 40
 /// time-decomposed maps and a window of 15.
@@ -244,22 +243,19 @@ fn extract_window(w: usize, map: &Tensor, avg: &Tensor, r: usize, c: usize) -> T
 impl PowerNet {
     /// Predicts the whole (normalized) noise map, tile by tile — the
     /// scanning inference whose runtime Table 3 compares against the
-    /// proposed model. Parallel over tile rows.
+    /// proposed model.
     pub fn predict_map(&self, decomposed: &[Tensor], avg: &Tensor) -> Tensor {
         assert!(!decomposed.is_empty(), "need at least one time window");
         let (m, n) = (avg.shape()[1], avg.shape()[2]);
-        let rows: Vec<Vec<f32>> = (0..m)
-            .into_par_iter()
-            .map(|r| {
-                let mut core = self.core.clone();
-                (0..n)
-                    .map(|c| {
-                        Self::predict_tile(&mut core, self.config.window, decomposed, avg, r, c).0
-                    })
-                    .collect()
-            })
-            .collect();
-        Tensor::from_vec(&[1, m, n], rows.into_iter().flatten().collect())
+        let window = self.config.window;
+        let mut core = self.core.clone();
+        let mut out = Vec::with_capacity(m * n);
+        for r in 0..m {
+            for c in 0..n {
+                out.push(Self::predict_tile(&mut core, window, decomposed, avg, r, c).0);
+            }
+        }
+        Tensor::from_vec(&[1, m, n], out)
     }
 
     /// Predicts the noise map in volts for a dataset sample.

@@ -58,13 +58,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"PDNWNVC2";
-/// Bump this when the entry layout or key recipe changes: old entries then
-/// simply never match, rather than being misparsed.
-const FORMAT_TAG: &str = "pdn-wnv-cache-v2";
-/// Upper bound on tile-map dimensions accepted from a cache entry; guards
-/// the deserializer against allocating garbage-sized buffers from a
-/// corrupt length field before the integrity digest is even checked.
-const MAX_DIM: u32 = 1 << 20;
+/// Bump this when the entry layout, the key recipe or the meaning of a
+/// stored field changes: old entries then simply never match, rather than
+/// being misparsed or mixed in.
+const FORMAT_TAG: &str = "pdn-wnv-cache-v3";
 
 /// The content-addressed key of one vector's ground truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -648,10 +645,12 @@ fn decode_entry(bytes: &[u8], expected: CacheKey) -> io::Result<NoiseReport> {
     }
     let rows = read_u32(&mut r)?;
     let cols = read_u32(&mut r)?;
-    if rows > MAX_DIM || cols > MAX_DIM {
-        return Err(invalid("implausible tile-map dimensions"));
-    }
-    let n = (rows as usize) * (cols as usize);
+    // The seal is not cryptographic, so a crafted header can pass it: bound
+    // the allocation by the bytes actually present.
+    let n = (rows as usize)
+        .checked_mul(cols as usize)
+        .filter(|&n| n <= r.len() / 8)
+        .ok_or_else(|| invalid("tile map longer than the entry"))?;
     let mut data = Vec::with_capacity(n);
     for _ in 0..n {
         data.push(read_f64(&mut r)?);
@@ -930,5 +929,22 @@ mod tests {
         let bytes = encode_entry(key, &report);
         let err = decode_entry(&bytes, CacheKey(key.0 ^ 1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn overstated_map_size_rejected_before_allocating() {
+        // A correctly sealed entry whose header claims a 2^20 x 2^20 map
+        // (8 TiB of f64) but carries one tile's worth of payload.
+        let key = CacheKey(42);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&key.0.to_le_bytes());
+        bytes.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        bytes.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 8 + 40]);
+        let seal = fsio::digest_bytes(&bytes[MAGIC.len()..]);
+        bytes.extend_from_slice(&seal.to_le_bytes());
+        let err = decode_entry(&bytes, key).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than the entry"), "{err}");
     }
 }

@@ -12,7 +12,6 @@ use pdn_core::map::TileMap;
 use pdn_core::units::Volts;
 use pdn_grid::build::{NodeId, PowerGrid};
 use pdn_vectors::vector::TestVector;
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Default number of vectors marched per lockstep batch in
@@ -28,7 +27,9 @@ pub struct NoiseReport {
     pub worst_noise: TileMap,
     /// The single worst droop across the die (Eq. (1) left-hand side).
     pub max_noise: Volts,
-    /// Wall-clock time of the simulation.
+    /// Wall-clock time of the simulation. A report from a lockstep batch
+    /// carries the batch's wall time divided by its width, so summing
+    /// reports gives the simulator's total time.
     pub elapsed: Duration,
     /// Solver statistics.
     pub stats: TransientStats,
@@ -149,8 +150,9 @@ impl WnvRunner {
     /// Runs WNV for a batch of vectors marched in lockstep against the
     /// single shared factorization — one matrix traversal serves every
     /// vector per CG iteration / triangular solve. The reported noise maps
-    /// are bitwise identical to per-vector [`Self::run`] calls; `elapsed`
-    /// and `stats` are shared across the batch.
+    /// are bitwise identical to per-vector [`Self::run`] calls. Each report's
+    /// `elapsed` is the batch's wall time over the batch width; `stats` are
+    /// the batch's.
     ///
     /// # Errors
     ///
@@ -187,6 +189,7 @@ impl WnvRunner {
             );
             pdn_core::telemetry::observe_duration("sim.wnv.batch_seconds", elapsed);
         }
+        let elapsed = elapsed / vectors.len().max(1) as u32;
         Ok(maps
             .into_iter()
             .map(|worst| {
@@ -198,12 +201,11 @@ impl WnvRunner {
 
     /// Runs WNV for a group of vectors, returning one report per vector.
     ///
-    /// Vectors are fanned out across the rayon pool in chunks of
-    /// [`DEFAULT_BATCH`]; each chunk whose vectors share a step count is
-    /// marched in lockstep via [`Self::run_batch`], others fall back to
-    /// per-vector runs. Reports are returned in input order and are bitwise
-    /// identical to individual [`Self::run`] calls regardless of thread
-    /// count or batching.
+    /// Vectors are taken in chunks of [`DEFAULT_BATCH`]; each chunk whose
+    /// vectors share a step count is marched in lockstep via
+    /// [`Self::run_batch`], others fall back to per-vector runs. Reports are
+    /// returned in input order and are bitwise identical to individual
+    /// [`Self::run`] calls regardless of batching.
     ///
     /// # Errors
     ///
@@ -211,18 +213,18 @@ impl WnvRunner {
     pub fn run_group(&self, vectors: &[TestVector]) -> SimResult<Vec<NoiseReport>> {
         let mut span = pdn_core::telemetry::span("sim.wnv.group");
         span.field("vectors", vectors.len());
-        let chunked: Vec<Vec<NoiseReport>> = vectors
-            .par_chunks(DEFAULT_BATCH)
-            .map(|chunk| {
-                if chunk.iter().all(|v| v.step_count() == chunk[0].step_count()) {
-                    let refs: Vec<&TestVector> = chunk.iter().collect();
-                    self.run_batch(&refs)
-                } else {
-                    chunk.iter().map(|v| self.run(v)).collect()
+        let mut reports = Vec::with_capacity(vectors.len());
+        for chunk in vectors.chunks(DEFAULT_BATCH) {
+            if chunk.iter().all(|v| v.step_count() == chunk[0].step_count()) {
+                let refs: Vec<&TestVector> = chunk.iter().collect();
+                reports.extend(self.run_batch(&refs)?);
+            } else {
+                for v in chunk {
+                    reports.push(self.run(v)?);
                 }
-            })
-            .collect::<SimResult<_>>()?;
-        Ok(chunked.into_iter().flatten().collect())
+            }
+        }
+        Ok(reports)
     }
 }
 
@@ -345,6 +347,23 @@ mod tests {
         for (a, b) in group.iter().zip(&again) {
             assert_eq!(a.worst_noise, b.worst_noise);
         }
+    }
+
+    #[test]
+    fn batch_reports_split_the_wall_time() {
+        // Four vectors march as one lockstep batch: each report carries a
+        // quarter of the batch's wall time, so their sum fits in the call.
+        let g = grid();
+        let _serial = crate::telemetry_test_lock();
+        let runner = WnvRunner::new(&g).unwrap();
+        let gen = VectorGenerator::new(&g, GeneratorConfig { steps: 30, ..Default::default() });
+        let vectors = gen.generate_group(DEFAULT_BATCH, 3);
+        let start = Instant::now();
+        let group = runner.run_group(&vectors).unwrap();
+        let wall = start.elapsed();
+        let total: Duration = group.iter().map(|r| r.elapsed).sum();
+        assert!(total <= wall, "per-vector times sum to {total:?}, call took {wall:?}");
+        assert!(group.iter().all(|r| r.elapsed == group[0].elapsed && !r.elapsed.is_zero()));
     }
 
     #[test]

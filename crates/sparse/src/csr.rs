@@ -1,6 +1,4 @@
-//! Compressed-sparse-row matrices with parallel mat-vec.
-
-use rayon::prelude::*;
+//! Compressed-sparse-row matrices with row-streamed mat-vec.
 
 /// An immutable CSR matrix.
 ///
@@ -111,7 +109,7 @@ impl CsrMatrix {
         }
     }
 
-    /// `y = A x`, parallel over rows.
+    /// `y = A x`.
     ///
     /// # Panics
     ///
@@ -131,27 +129,14 @@ impl CsrMatrix {
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols, "mul_vec: x length mismatch");
         assert_eq!(y.len(), self.n_rows, "mul_vec: y length mismatch");
-        // Parallel threshold: tiny systems are faster serial.
-        if self.n_rows >= 4096 {
-            y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-                let lo = self.indptr[r];
-                let hi = self.indptr[r + 1];
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k] * x[self.indices[k]];
-                }
-                *yr = acc;
-            });
-        } else {
-            for (r, yr) in y.iter_mut().enumerate() {
-                let lo = self.indptr[r];
-                let hi = self.indptr[r + 1];
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k] * x[self.indices[k]];
-                }
-                *yr = acc;
+        for (r, yr) in y.iter_mut().enumerate() {
+            let lo = self.indptr[r];
+            let hi = self.indptr[r + 1];
+            let mut acc = 0.0;
+            for k in lo..hi {
+                acc += self.values[k] * x[self.indices[k]];
             }
+            *yr = acc;
         }
     }
 
@@ -178,7 +163,7 @@ impl CsrMatrix {
             4 => self.mul_multi_fixed::<4>(x, y),
             8 => self.mul_multi_fixed::<8>(x, y),
             _ => {
-                let row_block = |(r, yr): (usize, &mut [f64])| {
+                for (r, yr) in y.chunks_exact_mut(k).enumerate() {
                     yr.fill(0.0);
                     for p in self.indptr[r]..self.indptr[r + 1] {
                         let v = self.values[p];
@@ -187,11 +172,6 @@ impl CsrMatrix {
                             yr[t] += v * xb[t];
                         }
                     }
-                };
-                if self.n_rows >= 4096 {
-                    y.par_chunks_mut(k).enumerate().for_each(row_block);
-                } else {
-                    y.chunks_mut(k).enumerate().for_each(row_block);
                 }
             }
         }
@@ -201,7 +181,9 @@ impl CsrMatrix {
     /// at compile time: same floating-point operations in the same order,
     /// but the accumulator is a `[f64; K]` held in registers.
     fn mul_multi_fixed<const K: usize>(&self, x: &[f64], y: &mut [f64]) {
-        let row_block = |(r, yr): (usize, &mut [f64])| {
+        // Exact chunks tell the compiler every block is `K` long; with
+        // `chunks_mut` this loop runs markedly slower for K = 4.
+        for (r, yr) in y.chunks_exact_mut(K).enumerate() {
             let mut acc = [0.0f64; K];
             for p in self.indptr[r]..self.indptr[r + 1] {
                 let v = self.values[p];
@@ -211,11 +193,6 @@ impl CsrMatrix {
                 }
             }
             yr.copy_from_slice(&acc);
-        };
-        if self.n_rows >= 4096 {
-            y.par_chunks_mut(K).enumerate().for_each(row_block);
-        } else {
-            y.chunks_mut(K).enumerate().for_each(row_block);
         }
     }
 

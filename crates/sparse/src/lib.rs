@@ -5,8 +5,8 @@
 //! (paper §2). This crate provides everything the simulator needs:
 //!
 //! * [`coo::CooMatrix`] — triplet assembly during MNA stamping;
-//! * [`csr::CsrMatrix`] — compressed-sparse-row storage with parallel
-//!   mat-vec;
+//! * [`csr::CsrMatrix`] — compressed-sparse-row storage with single- and
+//!   multi-vector mat-vec;
 //! * [`dense::DenseMatrix`] — dense fallback with Cholesky, used for small
 //!   systems and for cross-checking the sparse paths in tests;
 //! * [`supernodal::SupernodalCholesky`] — supernodal Cholesky with dense

@@ -566,21 +566,25 @@ impl SupernodalCholesky {
     /// Solves `nrhs` contiguous right-hand sides (`rhs[v * dim()..]` is
     /// vector `v`), blocked [`SWEEP_BLOCK`] at a time and fanned out across
     /// `std::thread::scope` threads sized by `PDN_THREADS`
-    /// ([`pdn_core::threads::configure_from_env`]). Blocks are fixed-size
-    /// units of work, so per-vector results are bitwise independent of the
-    /// thread count.
+    /// ([`pdn_core::threads::width`]). Blocks are fixed-size units of work,
+    /// so per-vector results are bitwise independent of the thread count.
     ///
     /// # Panics
     ///
     /// Panics if `rhs.len() != dim() * nrhs`.
     pub fn solve_sweep(&self, rhs: &mut [f64], nrhs: usize) {
+        self.solve_sweep_on(rhs, nrhs, pdn_core::threads::width());
+    }
+
+    /// [`Self::solve_sweep`] on at most `width` threads.
+    fn solve_sweep_on(&self, rhs: &mut [f64], nrhs: usize, width: usize) {
         let n = self.sym.n;
         assert_eq!(rhs.len(), n * nrhs, "solve_sweep: length mismatch");
         if nrhs == 0 || n == 0 {
             return;
         }
         let blocks: Vec<&mut [f64]> = rhs.chunks_mut(n * SWEEP_BLOCK).collect();
-        let threads = pdn_core::threads::configure_from_env().min(blocks.len()).max(1);
+        let threads = width.min(blocks.len()).max(1);
         if threads <= 1 {
             for block in blocks {
                 self.solve_block(block);
@@ -1181,24 +1185,26 @@ mod tests {
 
     #[test]
     fn sweep_matches_single_solves_under_threads() {
-        // More vectors than SWEEP_BLOCK so the sweep spans several blocks;
-        // results must be bitwise equal to sequential solve_in_place calls
-        // regardless of how many threads serviced the blocks.
+        // Three blocks (two full, one ragged); results must be bitwise equal
+        // to separate solve calls however many threads service the blocks,
+        // including more threads than blocks.
         let a = grid_laplacian(8, 9, 0.3);
         let n = a.n_rows();
         let chol = SupernodalCholesky::factor(&a).unwrap();
         let nrhs = SWEEP_BLOCK * 2 + 5;
-        let mut sweep = vec![0.0; n * nrhs];
-        for (v, chunk) in sweep.chunks_mut(n).enumerate() {
+        let mut rhs = vec![0.0; n * nrhs];
+        for (v, chunk) in rhs.chunks_mut(n).enumerate() {
             for (i, x) in chunk.iter_mut().enumerate() {
                 *x = ((i * (v + 3)) % 13) as f64 - 6.0;
             }
         }
-        let expected: Vec<Vec<f64>> =
-            sweep.chunks(n).map(|b| chol.solve(b)).collect();
-        chol.solve_sweep(&mut sweep, nrhs);
-        for (v, (got, want)) in sweep.chunks(n).zip(&expected).enumerate() {
-            assert_eq!(got, want.as_slice(), "vector {v} drifted in the sweep");
+        let expected: Vec<Vec<f64>> = rhs.chunks(n).map(|b| chol.solve(b)).collect();
+        for width in [1, 2, 3, 8] {
+            let mut sweep = rhs.clone();
+            chol.solve_sweep_on(&mut sweep, nrhs, width);
+            for (v, (got, want)) in sweep.chunks(n).zip(&expected).enumerate() {
+                assert_eq!(got, want.as_slice(), "vector {v} drifted at width {width}");
+            }
         }
     }
 

@@ -92,6 +92,14 @@ pub fn read_csv<R: io::Read>(reader: R) -> io::Result<TestVector> {
         let row = row.map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", lineno + 1))
         })?;
+        // `parse` accepts NaN and inf, which would poison the transient
+        // solve and the temporal compressor's sort.
+        if let Some(bad) = row.iter().find(|v| !v.is_finite()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line {}: samples must be finite, got {bad}", lineno + 1),
+            ));
+        }
         if let Some(first) = rows.first() {
             if row.len() != first.len() {
                 return Err(io::Error::new(
@@ -176,6 +184,16 @@ mod tests {
         // The boundary: a tiny but positive dt is fine.
         let v = read_csv("# pdn-wnv test-vector, dt_ps=1e-3\n1e-3\n".as_bytes()).unwrap();
         assert!(v.time_step().0 > 0.0);
+    }
+
+    #[test]
+    fn non_finite_samples_rejected() {
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity"] {
+            let text = format!("1e-3,2e-3\n4e-3,{bad}\n");
+            let err = read_csv(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "sample {bad}");
+            assert!(err.to_string().starts_with("line 2:"), "{err}");
+        }
     }
 
     #[test]

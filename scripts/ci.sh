@@ -74,9 +74,11 @@ echo "direct solver: distinct digest, store on run 1, hit on run 2"
 
 echo
 echo "== thread-count determinism =="
-# Every output must be bitwise identical at any pool width: train,
-# simulate and predict on D1 tiny at PDN_THREADS=1 and 2. Both predict
-# legs read the width-1 bundle, so they check inference on its own.
+# Every output must be bitwise identical at any PDN_THREADS: train,
+# simulate and predict on D1 tiny at widths 1 and 2 (all three run on one
+# thread; this guards that they stay independent of the width). Both
+# predict legs read the width-1 bundle, so they check inference on its
+# own. The factor sweep, which does spawn threads, is compared below.
 for t in 1 2; do
     out="$cache_dir/threads$t"
     PDN_THREADS=$t ./target/release/pdn train --design D1 --scale tiny --vectors 4 \
@@ -93,6 +95,17 @@ diff -r "$cache_dir/threads1/sim" "$cache_dir/threads2/sim" \
 diff -r "$cache_dir/threads1/predict" "$cache_dir/threads2/predict" \
     || { echo "thread determinism: predict outputs differ between widths 1 and 2"; exit 1; }
 echo "thread determinism: train, simulate and predict identical at widths 1 and 2"
+# 40 RHS = three sweep blocks, so widths 2 and 3 split them across threads.
+for t in 1 2 3; do
+    PDN_THREADS=$t ./target/release/pdn factor --design D1 --scale tiny --rhs 40 \
+        | grep '^digest' > "$cache_dir/factor_digest$t" \
+        || { echo "thread determinism: pdn factor at width $t printed no digest"; exit 1; }
+done
+for t in 2 3; do
+    cmp "$cache_dir/factor_digest1" "$cache_dir/factor_digest$t" \
+        || { echo "thread determinism: factor sweep differs between widths 1 and $t"; exit 1; }
+done
+echo "thread determinism: factor sweep digest identical at widths 1, 2 and 3"
 
 echo
 echo "== amd ordering smoke =="

@@ -33,8 +33,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
-    pdn_wnv::core::threads::configure_from_env();
     telemetry::init_from_env();
+    // Read PDN_THREADS up front, so a bad value is reported (and counted)
+    // whatever the command.
+    pdn_wnv::core::threads::width();
     // Flushes the sink (with summary records) even when `run` errors out
     // or panics, so a partial run still yields an analysable JSONL file.
     let _flush = telemetry::FlushGuard::new();
@@ -85,8 +87,9 @@ default warm-started PCG to the supernodal direct Cholesky (factor once,
 two panel-blocked triangular solves per time stamp). `pdn factor` runs
 just the factor-once/solve-many hot path — symbolic analysis, numeric
 factorization, and an N-RHS solve sweep (default 1000) — and prints each
-phase's wall clock; use `--scale full` for a paper-D1-class feasibility
-run. PDN_THREADS fans the sweep's RHS blocks across threads.
+phase's wall clock and a digest of the swept solutions; use `--scale full`
+for a paper-D1-class feasibility run. PDN_THREADS fans the sweep's RHS
+blocks across threads; the digest is the same at any width.
 
 every command rejects a flag not listed for it above; every command
 except report also accepts:
@@ -603,8 +606,14 @@ fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Erro
         t_sweep.as_secs_f64(),
         nrhs,
         per_solve * 1e3,
-        pdn_wnv::core::threads::configure_from_env(),
+        pdn_wnv::core::threads::width(),
     );
+    // The solutions' bits, so runs at different PDN_THREADS can be compared.
+    let mut digest = pdn_wnv::core::fsio::Digest::new();
+    for &x in &rhs {
+        digest.update_f64(x);
+    }
+    println!("digest  : {} (swept solutions)", digest.hex());
     println!(
         "total   : {:.2}s (analyze + numeric + sweep)",
         (t_analyze + t_numeric + t_sweep).as_secs_f64()

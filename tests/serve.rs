@@ -5,6 +5,7 @@
 //! multi-map batches — plus liveness (/healthz, /metrics), the simulate
 //! path, error statuses, and the fail-fast bundle check.
 
+use pdn_wnv::compress::temporal::TemporalCompressor;
 use pdn_wnv::eval::jsonl;
 use pdn_wnv::eval::serve::batcher::BatchConfig;
 use pdn_wnv::eval::serve::{self, ServeConfig};
@@ -29,6 +30,15 @@ fn tiny_grid() -> PowerGrid {
 /// predictors, which lets one instance serve and a twin act as the offline
 /// reference.
 fn fixture_predictor(grid: &PowerGrid, seed: u64) -> Predictor {
+    fixture_predictor_with(grid, seed, None)
+}
+
+/// [`fixture_predictor`] with a temporal compressor.
+fn fixture_predictor_with(
+    grid: &PowerGrid,
+    seed: u64,
+    compressor: Option<TemporalCompressor>,
+) -> Predictor {
     let tiles = grid.tile_grid();
     let (rows, cols) = (tiles.rows(), tiles.cols());
     let bumps = grid.bumps().len();
@@ -40,7 +50,7 @@ fn fixture_predictor(grid: &PowerGrid, seed: u64) -> Predictor {
         distance,
         Normalizer::with_scale(2.0),
         Normalizer::with_scale(3.0),
-        None,
+        compressor,
     )
 }
 
@@ -278,6 +288,30 @@ fn health_metrics_and_error_statuses() {
     assert_eq!(status, 400, "{body}");
 
     assert!(server.stats().errors.load(std::sync::atomic::Ordering::Relaxed) >= 4);
+    server.shutdown();
+}
+
+#[test]
+fn a_non_finite_sample_is_a_client_error_and_predict_stays_up() {
+    // A bundle with a temporal compressor, as `pdn train` writes: a NaN
+    // sample that reached its sort would take the predict batcher down.
+    let grid = tiny_grid();
+    let predictor =
+        fixture_predictor_with(&grid, 4, Some(TemporalCompressor::new(0.3, 0.05).unwrap()));
+    let runner = WnvRunner::new(&grid).unwrap();
+    let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() };
+    let server = serve::serve(&cfg, "D1-tiny", grid, predictor, runner, None).unwrap();
+    let addr = server.local_addr();
+
+    let vector = vectors_for(&tiny_grid(), 1, 5).remove(0);
+    let csv = String::from_utf8(csv_bytes(&vector)).unwrap();
+    let last = csv.trim_end().rsplit_once(',').unwrap().0;
+    let poisoned = format!("{last},NaN\n");
+    let (status, body) = http(addr, "POST", "/predict", poisoned.as_bytes());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("finite"), "{body}");
+    let (status, body) = http(addr, "POST", "/predict", &csv_bytes(&vector));
+    assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
 
