@@ -14,7 +14,7 @@ use pdn_core::stats;
 use pdn_vectors::vector::TestVector;
 
 /// Result of compressing one sequence.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompressionOutcome {
     /// Original time-stamp indices kept, in ascending time order.
     pub kept: Vec<usize>,
@@ -29,21 +29,21 @@ pub struct CompressionOutcome {
 }
 
 /// Reusable working memory for [`TemporalCompressor::compress_with`]: the
-/// sort order, prefix-moment tables, and the kept index list. Steady-state
-/// calls on same-length sequences allocate nothing.
+/// sort order, prefix-moment tables, and the outcome. Steady-state calls
+/// on same-length sequences allocate nothing.
 #[derive(Debug, Default, Clone)]
 pub struct CompressScratch {
     order: Vec<usize>,
     pref: Vec<f64>,
     pref_sq: Vec<f64>,
-    kept: Vec<usize>,
+    outcome: CompressionOutcome,
 }
 
 impl CompressScratch {
     /// The kept time-stamp indices from the last `compress_with` call,
     /// ascending.
     pub fn kept(&self) -> &[usize] {
-        &self.kept
+        &self.outcome.kept
     }
 }
 
@@ -103,20 +103,46 @@ impl TemporalCompressor {
     ///
     /// Panics if `totals` is empty.
     pub fn compress(&self, totals: &[f64]) -> CompressionOutcome {
+        let mut scratch = CompressScratch::default();
+        self.compress_with(totals, &mut scratch);
+        scratch.outcome
+    }
+
+    /// [`TemporalCompressor::compress`] without allocating: reuses
+    /// `scratch` for every intermediate and leaves the outcome there (the
+    /// selected indices in [`CompressScratch::kept`]). The stamps are
+    /// ordered by `(value, index)`, the stable-by-value order of
+    /// `stats::argsort` that [`TemporalCompressor::compress_reference`]
+    /// uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `totals` is empty.
+    pub fn compress_with(&self, totals: &[f64], scratch: &mut CompressScratch) {
         assert!(!totals.is_empty(), "cannot compress an empty sequence");
         let n = totals.len();
         let keep = ((self.rate * n as f64).round() as usize).clamp(1, n);
 
-        let order = stats::argsort(totals);
-        let sorted: Vec<f64> = order.iter().map(|&i| totals[i]).collect();
+        scratch.order.clear();
+        scratch.order.extend(0..n);
+        scratch.order.sort_unstable_by(|&a, &b| {
+            totals[a]
+                .partial_cmp(&totals[b])
+                .expect("argsort does not support NaN")
+                .then(a.cmp(&b))
+        });
 
         // Prefix sums over the sorted totals for O(1) window moments.
-        let mut pref = vec![0.0; n + 1];
-        let mut pref_sq = vec![0.0; n + 1];
-        for (i, &s) in sorted.iter().enumerate() {
-            pref[i + 1] = pref[i] + s;
-            pref_sq[i + 1] = pref_sq[i] + s * s;
+        scratch.pref.clear();
+        scratch.pref_sq.clear();
+        scratch.pref.push(0.0);
+        scratch.pref_sq.push(0.0);
+        for (i, &oi) in scratch.order.iter().enumerate() {
+            let s = totals[oi];
+            scratch.pref.push(scratch.pref[i] + s);
+            scratch.pref_sq.push(scratch.pref_sq[i] + s * s);
         }
+        let (pref, pref_sq) = (&scratch.pref, &scratch.pref_sq);
         let window_mu3sigma = |k_low: usize, k_high: usize| {
             let cnt = (k_low + k_high) as f64;
             let sum = pref[k_low] + (pref[n] - pref[n - k_high]);
@@ -144,81 +170,15 @@ impl TemporalCompressor {
 
         let (err, k_low, r0_sel, stat) = best;
         let k_high = keep - k_low;
-        let mut kept: Vec<usize> = order[..k_low].to_vec();
-        kept.extend_from_slice(&order[n - k_high..]);
-        kept.sort_unstable();
-        CompressionOutcome {
-            kept,
-            selected_r0: r0_sel,
-            statistic_error: err,
-            original_mu3sigma: target,
-            compressed_mu3sigma: stat,
-        }
-    }
-
-    /// Allocation-free variant of [`TemporalCompressor::compress`]: reuses
-    /// `scratch` for every intermediate and leaves the selected indices in
-    /// [`CompressScratch::kept`]. The kept set is identical to `compress`'s
-    /// (a `(value, index)` unstable sort reproduces the stable-by-value
-    /// order of `stats::argsort` exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `totals` is empty.
-    pub fn compress_with(&self, totals: &[f64], scratch: &mut CompressScratch) {
-        assert!(!totals.is_empty(), "cannot compress an empty sequence");
-        let n = totals.len();
-        let keep = ((self.rate * n as f64).round() as usize).clamp(1, n);
-
-        scratch.order.clear();
-        scratch.order.extend(0..n);
-        scratch.order.sort_unstable_by(|&a, &b| {
-            totals[a]
-                .partial_cmp(&totals[b])
-                .expect("argsort does not support NaN")
-                .then(a.cmp(&b))
-        });
-
-        scratch.pref.clear();
-        scratch.pref_sq.clear();
-        scratch.pref.push(0.0);
-        scratch.pref_sq.push(0.0);
-        for (i, &oi) in scratch.order.iter().enumerate() {
-            let s = totals[oi];
-            scratch.pref.push(scratch.pref[i] + s);
-            scratch.pref_sq.push(scratch.pref_sq[i] + s * s);
-        }
-        let (pref, pref_sq) = (&scratch.pref, &scratch.pref_sq);
-        let window_mu3sigma = |k_low: usize, k_high: usize| {
-            let cnt = (k_low + k_high) as f64;
-            let sum = pref[k_low] + (pref[n] - pref[n - k_high]);
-            let sum_sq = pref_sq[k_low] + (pref_sq[n] - pref_sq[n - k_high]);
-            let mean = sum / cnt;
-            let var = (sum_sq / cnt - mean * mean).max(0.0);
-            mean + 3.0 * var.sqrt()
-        };
-
-        let target = stats::mu_plus_3_sigma(totals);
-        let mut best = (f64::INFINITY, 0usize);
-        let mut r0 = 0.0;
-        while r0 <= self.rate + 1e-12 {
-            let k_low = ((r0 * n as f64).round() as usize).min(keep);
-            let k_high = keep - k_low;
-            if k_low + k_high > 0 {
-                let err = (target - window_mu3sigma(k_low, k_high)).abs();
-                if err < best.0 {
-                    best = (err, k_low);
-                }
-            }
-            r0 += self.rate_step;
-        }
-
-        let k_low = best.1;
-        let k_high = keep - k_low;
-        scratch.kept.clear();
-        scratch.kept.extend_from_slice(&scratch.order[..k_low]);
-        scratch.kept.extend_from_slice(&scratch.order[n - k_high..]);
-        scratch.kept.sort_unstable();
+        let out = &mut scratch.outcome;
+        out.kept.clear();
+        out.kept.extend_from_slice(&scratch.order[..k_low]);
+        out.kept.extend_from_slice(&scratch.order[n - k_high..]);
+        out.kept.sort_unstable();
+        out.selected_r0 = r0_sel;
+        out.statistic_error = err;
+        out.original_mu3sigma = target;
+        out.compressed_mu3sigma = stat;
     }
 
     /// Literal line-by-line port of Algorithm 1 (recomputes the window

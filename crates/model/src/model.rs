@@ -143,32 +143,12 @@ impl WnvModel {
         let _ = self.distance_net.backward(g_d);
 
         // Fusion subnet: its cache only covers the last map, so re-run the
-        // forward per map before its backward (recompute-instead-of-store).
-        // Sequences of 8 or more maps accumulate on one zero-grad clone,
-        // merged once; shorter ones accumulate in place. The two sum in
-        // different orders, so trained bundles depend on this split.
+        // forward per map before its backward (recompute-instead-of-store),
+        // accumulating every map's gradient in place, in map order.
         let per_map = cache.stats.backward(&cache.fused, g_max, g_mean, g_msd);
-        let pairs: Vec<(&Tensor, &Tensor)> =
-            cache.padded_currents.iter().zip(&per_map).collect();
-        if pairs.len() >= 8 {
-            let mut net = self.fusion_net.clone();
-            net.zero_grad();
-            for (map, gmap) in pairs {
-                let _ = net.forward(map);
-                let _ = net.backward(gmap);
-            }
-            let mut grads = Vec::new();
-            net.visit_params(&mut |p| grads.push(p.grad.clone()));
-            let mut i = 0;
-            self.fusion_net.visit_params(&mut |p| {
-                p.grad.add_assign(&grads[i]);
-                i += 1;
-            });
-        } else {
-            for (map, gmap) in pairs {
-                let _ = self.fusion_net.forward(map);
-                let _ = self.fusion_net.backward(gmap);
-            }
+        for (map, gmap) in cache.padded_currents.iter().zip(&per_map) {
+            let _ = self.fusion_net.forward(map);
+            let _ = self.fusion_net.backward(gmap);
         }
     }
 

@@ -10,7 +10,7 @@ use pdn_sparse::cg::{self, CgOptions};
 use pdn_sparse::csr::CsrMatrix;
 use pdn_sparse::ichol::IncompleteCholesky;
 use pdn_sparse::supernodal::SupernodalCholesky;
-use pdn_sparse::vecops;
+use pdn_sparse::{vecops, SolveError, MAX_LOCKSTEP};
 use pdn_vectors::vector::TestVector;
 
 /// Which linear solver the transient engine uses for its per-step systems.
@@ -159,21 +159,6 @@ impl TransientSimulator {
         })
     }
 
-    /// Solves `A v = rhs`, updating `v` in place. Returns
-    /// `(cg_iterations, relative_residual)` (zeros for the direct path).
-    fn solve_step(&self, rhs: &[f64], v: &mut [f64]) -> SimResult<(usize, f64)> {
-        match &self.solver {
-            SolverState::Cg { pre, opts } => {
-                Ok(cg::solve_warm(&self.matrix, rhs, v, pre, opts)?)
-            }
-            SolverState::Direct { chol } => {
-                v.copy_from_slice(rhs);
-                chol.solve_in_place(v);
-                Ok((0, 0.0))
-            }
-        }
-    }
-
     /// Solves `A V = RHS` for `k` interleaved right-hand sides against the
     /// single shared factorization. Returns the worst `(iterations,
     /// residual)` across the batch (zeros for the direct path).
@@ -229,7 +214,8 @@ impl TransientSimulator {
     }
 
     /// Runs the full transient and hands every step's node voltages to
-    /// `observer(step, voltages)`. The initial condition is the DC solution
+    /// `observer(step, voltages)`: the batch of one of
+    /// [`Self::run_batch_with`]. The initial condition is the DC solution
     /// of the vector's first time stamp, so traces start in steady state.
     ///
     /// # Errors
@@ -241,58 +227,7 @@ impl TransientSimulator {
         vector: &TestVector,
         mut observer: F,
     ) -> SimResult<TransientStats> {
-        if vector.load_count() != self.load_nodes.len() {
-            return Err(SimError::VectorMismatch {
-                expected: self.load_nodes.len(),
-                actual: vector.load_count(),
-            });
-        }
-        let mut span = telemetry::span("sim.transient.run");
-        span.field("steps", vector.step_count());
-        // DC initial condition from the first step's currents.
-        let mut v = self.dc.solve(vector.step(0))?;
-        // Initial bump branch currents from the DC solution.
-        // In DC the branch carries (vdd − v_node) / R; recover R = 1/g − L/Δt.
-        let mut ib: Vec<f64> = self
-            .bumps
-            .iter()
-            .map(|&(node, g, l_over_dt)| (self.vdd - v[node]) / (1.0 / g - l_over_dt))
-            .collect();
-
-        let mut stats = TransientStats::default();
-        let mut rhs = vec![0.0; self.node_count];
-        for k in 0..vector.step_count() {
-            // rhs = C/Δt v_prev − I_load(k) + Σ_b g_b (vdd + (L/Δt) i_b)
-            for (r, (c, vp)) in rhs.iter_mut().zip(self.cap_over_dt.iter().zip(&v)) {
-                *r = c * vp;
-            }
-            for (&node, &i) in self.load_nodes.iter().zip(vector.step(k)) {
-                rhs[node] -= i;
-            }
-            for (b, &(node, g, l_over_dt)) in self.bumps.iter().enumerate() {
-                rhs[node] += g * (self.vdd + l_over_dt * ib[b]);
-            }
-            let t_step = telemetry::enabled().then(std::time::Instant::now);
-            let (iters, resid) = self.solve_step(&rhs, &mut v)?;
-            if let Some(t) = t_step {
-                telemetry::observe_duration("sim.transient.step_seconds", t.elapsed());
-            }
-            stats.steps += 1;
-            stats.cg_iterations += iters;
-            stats.worst_residual = stats.worst_residual.max(resid);
-            // Update bump branch currents.
-            for (b, &(node, g, l_over_dt)) in self.bumps.iter().enumerate() {
-                ib[b] = g * (self.vdd - v[node] + l_over_dt * ib[b]);
-            }
-            observer(k, &v);
-        }
-        if telemetry::enabled() {
-            telemetry::counter_add("sim.transient.runs", 1);
-            telemetry::counter_add("sim.transient.steps", stats.steps as u64);
-            telemetry::counter_add("sim.transient.cg_iterations", stats.cg_iterations as u64);
-            telemetry::observe("sim.transient.worst_residual", stats.worst_residual);
-        }
-        Ok(stats)
+        self.run_batch_with(&[vector], |step, _, v| observer(step, v))
     }
 
     /// Runs the transient and collects every step's node-voltage vector.
@@ -307,13 +242,14 @@ impl TransientSimulator {
         Ok((out, stats))
     }
 
-    /// Marches `k` independent test vectors in lockstep against the single
-    /// shared factorization, handing each step's voltages per vector to
-    /// `observer(step, vector_index, voltages)`.
+    /// Marches up to [`MAX_LOCKSTEP`] independent test vectors in lockstep
+    /// against the single shared factorization, handing each step's
+    /// voltages per vector to `observer(step, vector_index, voltages)`.
+    /// Each vector starts from the DC solution of its first time stamp.
     ///
     /// Every batched kernel underneath performs per-vector floating-point
-    /// operations in exactly the order of its single-vector counterpart, so
-    /// the observed voltages are bitwise identical to `k` separate
+    /// operations in an order that does not depend on the batch width, so
+    /// the observed voltages are bitwise identical to separate
     /// [`Self::run_with`] calls — the batch only amortizes matrix traffic.
     /// The returned stats aggregate the batch: `cg_iterations` sums the
     /// worst per-step iteration count, `worst_residual` is the maximum over
@@ -321,7 +257,10 @@ impl TransientSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::VectorMismatch`] on a wrong load count,
+    /// Returns [`SimError::Solve`] with [`SolveError::DimensionMismatch`]
+    /// for more than [`MAX_LOCKSTEP`] vectors (chunk them, as
+    /// [`crate::wnv::WnvRunner::run_group`] does),
+    /// [`SimError::VectorMismatch`] on a wrong load count,
     /// [`SimError::BatchStepMismatch`] when step counts differ within the
     /// batch, and propagates solver failures.
     pub fn run_batch_with<F: FnMut(usize, usize, &[f64])>(
@@ -332,6 +271,11 @@ impl TransientSimulator {
         let k = vectors.len();
         if k == 0 {
             return Ok(TransientStats::default());
+        }
+        if k > MAX_LOCKSTEP {
+            return Err(SimError::Solve(SolveError::DimensionMismatch {
+                detail: format!("transient batch of {k} vectors (widths 1..={MAX_LOCKSTEP})"),
+            }));
         }
         let steps = vectors[0].step_count();
         for vector in vectors {
@@ -348,7 +292,7 @@ impl TransientSimulator {
                 });
             }
         }
-        let mut span = telemetry::span("sim.transient.batch");
+        let mut span = telemetry::span("sim.transient.run");
         span.field("vectors", k);
         span.field("steps", steps);
         let n = self.node_count;
@@ -360,6 +304,8 @@ impl TransientSimulator {
                 v[i * k + t] = x;
             }
         }
+        // Initial bump branch currents from the DC solution.
+        // In DC the branch carries (vdd − v_node) / R; recover R = 1/g − L/Δt.
         let mut ib = vec![0.0; self.bumps.len() * k];
         for (ibb, &(node, g, l_over_dt)) in ib.chunks_mut(k).zip(&self.bumps) {
             for (t, i) in ibb.iter_mut().enumerate() {
@@ -371,6 +317,7 @@ impl TransientSimulator {
         let mut rhs = vec![0.0; n * k];
         let mut col = vec![0.0; n];
         for step in 0..steps {
+            // rhs = C/Δt v_prev − I_load(step) + Σ_b g_b (vdd + (L/Δt) i_b)
             for ((rb, vb), &c) in
                 rhs.chunks_mut(k).zip(v.chunks(k)).zip(&self.cap_over_dt)
             {
@@ -391,11 +338,12 @@ impl TransientSimulator {
             let t_step = telemetry::enabled().then(std::time::Instant::now);
             let (iters, resid) = self.solve_step_multi(&rhs, &mut v, k)?;
             if let Some(t) = t_step {
-                telemetry::observe_duration("sim.transient.batch_step_seconds", t.elapsed());
+                telemetry::observe_duration("sim.transient.step_seconds", t.elapsed());
             }
             stats.steps += 1;
             stats.cg_iterations += iters;
             stats.worst_residual = stats.worst_residual.max(resid);
+            // Update bump branch currents.
             for (ibb, &(node, g, l_over_dt)) in ib.chunks_mut(k).zip(&self.bumps) {
                 for (t, i) in ibb.iter_mut().enumerate() {
                     *i = g * (self.vdd - v[node * k + t] + l_over_dt * *i);
@@ -407,12 +355,10 @@ impl TransientSimulator {
             }
         }
         if telemetry::enabled() {
-            telemetry::counter_add("sim.transient.batch_runs", 1);
-            telemetry::counter_add("sim.transient.batch_steps", stats.steps as u64);
-            telemetry::counter_add(
-                "sim.transient.batch_cg_iterations",
-                stats.cg_iterations as u64,
-            );
+            telemetry::counter_add("sim.transient.runs", 1);
+            telemetry::counter_add("sim.transient.steps", stats.steps as u64);
+            telemetry::counter_add("sim.transient.cg_iterations", stats.cg_iterations as u64);
+            telemetry::observe("sim.transient.worst_residual", stats.worst_residual);
             telemetry::observe("sim.transient.batch_width", k as f64);
         }
         Ok(stats)
@@ -587,6 +533,20 @@ mod tests {
             sim.run_full_batch(&[&a, &b]),
             Err(SimError::BatchStepMismatch { expected: 4, actual: 6 })
         ));
+    }
+
+    #[test]
+    fn batch_wider_than_the_lockstep_limit_is_an_error() {
+        let g = grid();
+        let v = Scenario::UniformSteady.render(&g, 4);
+        let refs = vec![&v; MAX_LOCKSTEP + 1];
+        for kind in [SolverKind::IterativeCg, SolverKind::DirectCholesky] {
+            let sim = TransientSimulator::with_solver(&g, kind).unwrap();
+            assert!(matches!(
+                sim.run_batch_with(&refs, |_, _, _| panic!("no steps expected")),
+                Err(SimError::Solve(SolveError::DimensionMismatch { .. }))
+            ));
+        }
     }
 
     #[test]

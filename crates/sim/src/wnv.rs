@@ -14,10 +14,11 @@ use pdn_grid::build::{NodeId, PowerGrid};
 use pdn_vectors::vector::TestVector;
 use std::time::{Duration, Instant};
 
-/// Default number of vectors marched per lockstep batch in
-/// [`WnvRunner::run_group`]. Chosen so the interleaved state of a batch
-/// still fits in cache alongside the shared factorization.
-pub const DEFAULT_BATCH: usize = 4;
+/// Number of vectors marched per lockstep batch in
+/// [`WnvRunner::run_group`]: the sparse kernels' widest batch, small
+/// enough that the interleaved state of a batch still fits in cache
+/// alongside the shared factorization.
+pub const DEFAULT_BATCH: usize = pdn_sparse::MAX_LOCKSTEP;
 
 /// Result of one WNV run.
 #[derive(Debug, Clone)]
@@ -114,51 +115,30 @@ impl WnvRunner {
         &self.sim
     }
 
-    /// Runs WNV for one vector.
+    /// Runs WNV for one vector: the batch of one of [`Self::run_batch`].
     ///
     /// # Errors
     ///
     /// Propagates simulator failures (vector mismatch, non-convergence).
     pub fn run(&self, vector: &TestVector) -> SimResult<NoiseReport> {
-        let _span = pdn_core::telemetry::span("sim.wnv.run");
-        let start = Instant::now();
-        let mut worst = TileMap::zeros(self.tile_shape.0, self.tile_shape.1);
-        let vdd = self.vdd;
-        let bottom = self.bottom.clone();
-        let tiles = &self.node_tile_flat;
-        let stats = {
-            let data = worst.as_mut_slice();
-            self.sim.run_with(vector, |_, v| {
-                for n in bottom.clone() {
-                    let droop = vdd - v[n];
-                    let t = tiles[n];
-                    if droop > data[t] {
-                        data[t] = droop;
-                    }
-                }
-            })?
-        };
-        let max_noise = Volts(worst.max());
-        let elapsed = start.elapsed();
-        if pdn_core::telemetry::enabled() {
-            pdn_core::telemetry::counter_add("sim.wnv.vectors", 1);
-            pdn_core::telemetry::observe_duration("sim.wnv.run_seconds", elapsed);
-        }
-        Ok(NoiseReport { worst_noise: worst, max_noise, elapsed, stats })
+        let mut reports = self.run_batch(&[vector])?;
+        Ok(reports.pop().expect("one report per vector"))
     }
 
-    /// Runs WNV for a batch of vectors marched in lockstep against the
-    /// single shared factorization — one matrix traversal serves every
-    /// vector per CG iteration / triangular solve. The reported noise maps
-    /// are bitwise identical to per-vector [`Self::run`] calls. Each report's
-    /// `elapsed` is the batch's wall time over the batch width; `stats` are
-    /// the batch's.
+    /// Runs WNV for up to [`DEFAULT_BATCH`] vectors marched in lockstep
+    /// against the single shared factorization — one matrix traversal
+    /// serves every vector per CG iteration / triangular solve. The
+    /// reported noise maps are bitwise identical to per-vector
+    /// [`Self::run`] calls. Each report's `elapsed` is the batch's wall
+    /// time over the batch width; `stats` are the batch's.
     ///
     /// # Errors
     ///
-    /// Same as [`TransientSimulator::run_batch_with`].
+    /// Same as [`TransientSimulator::run_batch_with`]; more than
+    /// [`DEFAULT_BATCH`] vectors is an error, so use [`Self::run_group`]
+    /// for any number of vectors.
     pub fn run_batch(&self, vectors: &[&TestVector]) -> SimResult<Vec<NoiseReport>> {
-        let mut span = pdn_core::telemetry::span("sim.wnv.batch");
+        let mut span = pdn_core::telemetry::span("sim.wnv.run");
         span.field("vectors", vectors.len());
         let start = Instant::now();
         let mut maps: Vec<TileMap> = (0..vectors.len())
@@ -180,14 +160,13 @@ impl WnvRunner {
         let elapsed = start.elapsed();
         if pdn_core::telemetry::enabled() {
             pdn_core::telemetry::counter_add("sim.wnv.vectors", vectors.len() as u64);
-            pdn_core::telemetry::counter_add("sim.wnv.batches", 1);
             // How full each lockstep batch is relative to the default batch
             // width — low occupancy means the group size leaves slots idle.
             pdn_core::telemetry::observe(
                 "sim.wnv.batch_occupancy",
                 vectors.len() as f64 / DEFAULT_BATCH as f64,
             );
-            pdn_core::telemetry::observe_duration("sim.wnv.batch_seconds", elapsed);
+            pdn_core::telemetry::observe_duration("sim.wnv.run_seconds", elapsed);
         }
         let elapsed = elapsed / vectors.len().max(1) as u32;
         Ok(maps

@@ -7,11 +7,12 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{SolveError, SparseResult};
-use crate::vecops::{axpy, dot, norm2, xpby};
+use crate::MAX_LOCKSTEP;
 use pdn_core::telemetry;
 
-/// Records the outcome of one single-vector CG solve in the telemetry
-/// registry (no-op when telemetry is disabled).
+/// Records the outcome of one converged CG column — a solve, alone or in a
+/// lockstep batch — in the telemetry registry (no-op when telemetry is
+/// disabled).
 fn record_solve(iterations: usize, residual: f64) {
     if !telemetry::enabled() {
         return;
@@ -40,13 +41,10 @@ fn record_failure(err: &SolveError) {
 
 /// A symmetric preconditioner: computes `z = M⁻¹ r`.
 pub trait Preconditioner {
-    /// Applies the preconditioner, writing the result into `z`.
-    fn apply(&self, r: &[f64], z: &mut [f64]);
-
     /// Applies the preconditioner to `k` interleaved vectors
     /// (`r[i * k + t]` is entry `i` of vector `t`), paying the
     /// preconditioner's memory traffic once per block. Each column must be
-    /// bitwise identical to a single-vector [`apply`](Self::apply).
+    /// bitwise identical to the same vector applied alone (`k = 1`).
     fn apply_multi(&self, r: &[f64], z: &mut [f64], k: usize);
 }
 
@@ -55,10 +53,6 @@ pub trait Preconditioner {
 pub struct IdentityPreconditioner;
 
 impl Preconditioner for IdentityPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(r);
-    }
-
     fn apply_multi(&self, r: &[f64], z: &mut [f64], _k: usize) {
         z.copy_from_slice(r);
     }
@@ -113,7 +107,8 @@ pub fn solve<P: Preconditioner>(
 }
 
 /// Solves `A x = b` starting from the caller's initial guess, overwriting
-/// `x` with the solution. Returns `(iterations, relative_residual)`.
+/// `x` with the solution: the batch of one of [`solve_warm_multi`].
+/// Returns `(iterations, relative_residual)`.
 ///
 /// The warm start is what makes the transient loop fast: consecutive time
 /// steps have nearly identical voltage profiles.
@@ -129,81 +124,7 @@ pub fn solve_warm<P: Preconditioner>(
     pre: &P,
     opts: &CgOptions,
 ) -> SparseResult<(usize, f64)> {
-    match solve_warm_inner(a, b, x, pre, opts) {
-        Ok((iterations, residual)) => {
-            record_solve(iterations, residual);
-            Ok((iterations, residual))
-        }
-        Err(e) => {
-            record_failure(&e);
-            Err(e)
-        }
-    }
-}
-
-fn solve_warm_inner<P: Preconditioner>(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    pre: &P,
-    opts: &CgOptions,
-) -> SparseResult<(usize, f64)> {
-    if a.n_rows() != a.n_cols() || a.n_rows() != b.len() || b.len() != x.len() {
-        return Err(SolveError::DimensionMismatch {
-            detail: format!(
-                "cg: A is {}x{}, b has {}, x has {}",
-                a.n_rows(),
-                a.n_cols(),
-                b.len(),
-                x.len()
-            ),
-        });
-    }
-    let n = b.len();
-    let norm_b = norm2(b);
-    if norm_b == 0.0 {
-        x.iter_mut().for_each(|v| *v = 0.0);
-        return Ok((0, 0.0));
-    }
-
-    // r = b - A x
-    let mut r = vec![0.0; n];
-    a.mul_vec_into(x, &mut r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    let mut resid = norm2(&r) / norm_b;
-    if resid <= opts.tolerance {
-        return Ok((0, resid));
-    }
-
-    let mut z = vec![0.0; n];
-    pre.apply(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
-
-    for it in 1..=opts.max_iterations {
-        a.mul_vec_into(&p, &mut ap);
-        let pap = dot(&p, &ap);
-        if pap <= 0.0 {
-            // Indefinite direction — matrix is not SPD.
-            return Err(SolveError::NotPositiveDefinite { row: it, pivot: pap });
-        }
-        let alpha = rz / pap;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        resid = norm2(&r) / norm_b;
-        if resid <= opts.tolerance {
-            return Ok((it, resid));
-        }
-        pre.apply(&r, &mut z);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        xpby(&z, beta, &mut p);
-    }
-    Err(SolveError::NotConverged { iterations: opts.max_iterations, residual: resid })
+    solve_warm_multi(a, b, x, 1, pre, opts)
 }
 
 /// Solves `A X = B` for `k` right-hand sides in lockstep, starting from the
@@ -213,17 +134,20 @@ fn solve_warm_inner<P: Preconditioner>(
 /// All `k` CG recurrences advance together, sharing each matrix and
 /// preconditioner stream (paper §2: dynamic analysis is many solves against
 /// one system matrix). Every vector keeps its own `α`, `β`, and residual and
-/// is frozen the moment it converges, so each column's float operations are
-/// exactly those of a separate [`solve_warm`] in the same order — the
-/// batched result is bitwise identical to `k` sequential solves.
+/// is frozen the moment it converges, so each column's float operations do
+/// not depend on `k` — the batched result is bitwise identical to `k`
+/// separate [`solve_warm`] calls. Each converged column is recorded as one
+/// solve in the `sparse.cg.*` telemetry.
 ///
 /// Returns `(max_iterations_used, max_relative_residual)` over the batch.
 ///
 /// # Errors
 ///
-/// Returns [`SolveError::NotConverged`] if any vector exhausts the budget
-/// and [`SolveError::NotPositiveDefinite`] if any vector finds an indefinite
-/// direction; in both cases the whole batch is abandoned.
+/// Returns [`SolveError::DimensionMismatch`] for incompatible shapes or a
+/// width outside `1..=`[`MAX_LOCKSTEP`], [`SolveError::NotConverged`] if
+/// any vector exhausts the budget and [`SolveError::NotPositiveDefinite`]
+/// if any vector finds an indefinite direction; in the last two cases the
+/// whole batch is abandoned.
 pub fn solve_warm_multi<P: Preconditioner>(
     a: &CsrMatrix,
     b: &[f64],
@@ -232,14 +156,15 @@ pub fn solve_warm_multi<P: Preconditioner>(
     pre: &P,
     opts: &CgOptions,
 ) -> SparseResult<(usize, f64)> {
-    if k == 1 {
-        return solve_warm(a, b, x, pre, opts);
-    }
     let n = a.n_rows();
-    if a.n_rows() != a.n_cols() || b.len() != n * k || x.len() != n * k || k == 0 {
+    if a.n_rows() != a.n_cols()
+        || !(1..=MAX_LOCKSTEP).contains(&k)
+        || b.len() != n * k
+        || x.len() != n * k
+    {
         return Err(SolveError::DimensionMismatch {
             detail: format!(
-                "cg multi: A is {}x{}, b has {}, x has {}, k = {k}",
+                "cg: A is {}x{}, b has {}, x has {}, k = {k} (widths 1..={MAX_LOCKSTEP})",
                 a.n_rows(),
                 a.n_cols(),
                 b.len(),
@@ -247,65 +172,13 @@ pub fn solve_warm_multi<P: Preconditioner>(
             ),
         });
     }
-    // Common batch widths run the joint iteration with a compile-time
-    // width, so per-block state lives in registers; anything else falls
-    // back to column-at-a-time solves (bitwise the same by construction).
     match k {
+        1 => multi_body::<1, P>(a, b, x, pre, opts),
         2 => multi_body::<2, P>(a, b, x, pre, opts),
         3 => multi_body::<3, P>(a, b, x, pre, opts),
         4 => multi_body::<4, P>(a, b, x, pre, opts),
-        8 => multi_body::<8, P>(a, b, x, pre, opts),
-        _ => multi_fallback(a, b, x, k, pre, opts),
+        _ => unreachable!("width {k} checked above"),
     }
-}
-
-/// Records the outcome of one lockstep batch solve: per-column iteration
-/// counts plus the step slack recovered by freezing converged columns early
-/// (no-op when telemetry is disabled).
-fn record_batch(iterations: &[usize], max_residual: f64) {
-    if !telemetry::enabled() {
-        return;
-    }
-    let max = iterations.iter().copied().max().unwrap_or(0) as u64;
-    let sum: u64 = iterations.iter().map(|&i| i as u64).sum();
-    telemetry::counter_add("sparse.cg.batch.solves", 1);
-    telemetry::counter_add("sparse.cg.batch.columns", iterations.len() as u64);
-    telemetry::counter_add("sparse.cg.batch.column_iterations", sum);
-    telemetry::counter_add("sparse.cg.batch.max_iterations", max);
-    telemetry::counter_add(
-        "sparse.cg.batch.frozen_column_steps",
-        max * iterations.len() as u64 - sum,
-    );
-    telemetry::observe("sparse.cg.batch.final_residual", max_residual);
-}
-
-/// Arbitrary batch widths: each column is extracted to a contiguous buffer
-/// and solved with [`solve_warm`], making the per-column bitwise contract
-/// immediate.
-fn multi_fallback<P: Preconditioner>(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    k: usize,
-    pre: &P,
-    opts: &CgOptions,
-) -> SparseResult<(usize, f64)> {
-    telemetry::counter_add("sparse.cg.batch.width_fallbacks", 1);
-    let n = a.n_rows();
-    let mut bt = vec![0.0; n];
-    let mut xt = vec![0.0; n];
-    let (mut worst_it, mut worst_res) = (0usize, 0.0f64);
-    for t in 0..k {
-        crate::vecops::deinterleave_into(b, k, t, &mut bt);
-        crate::vecops::deinterleave_into(x, k, t, &mut xt);
-        let (it, res) = solve_warm(a, &bt, &mut xt, pre, opts)?;
-        worst_it = worst_it.max(it);
-        worst_res = worst_res.max(res);
-        for (i, &v) in xt.iter().enumerate() {
-            x[i * k + t] = v;
-        }
-    }
-    Ok((worst_it, worst_res))
 }
 
 /// Column dot products `out[t] = Σ_i u[i·K+t] · v[i·K+t]` for the active
@@ -333,7 +206,7 @@ fn col_dots<const K: usize>(u: &[f64], v: &[f64], active: &[usize], out: &mut [f
 /// The joint preconditioned-CG iteration with the batch width fixed at
 /// compile time. Columns converge and freeze independently; while every
 /// column is still active the vector updates take contiguous fixed-width
-/// fast paths.
+/// fast paths (always, at `K = 1`).
 fn multi_body<const K: usize, P: Preconditioner>(
     a: &CsrMatrix,
     b: &[f64],
@@ -343,7 +216,7 @@ fn multi_body<const K: usize, P: Preconditioner>(
 ) -> SparseResult<(usize, f64)> {
     let n = a.n_rows();
 
-    // Per-vector ‖b‖, accumulated in the same entry order as `norm2`.
+    // Per-vector ‖b‖.
     let mut norm_b = [0.0f64; K];
     for blk in b.chunks_exact(K) {
         for t in 0..K {
@@ -391,9 +264,7 @@ fn multi_body<const K: usize, P: Preconditioner>(
         residual[t] > opts.tolerance
     });
     if active.is_empty() {
-        let max_res = residual.iter().cloned().fold(0.0, f64::max);
-        record_batch(&iterations, max_res);
-        return Ok((0, max_res));
+        return Ok(converged(&iterations, &residual));
     }
 
     let mut z = vec![0.0; n * K];
@@ -451,9 +322,7 @@ fn multi_body<const K: usize, P: Preconditioner>(
             }
         });
         if active.is_empty() {
-            let max_res = residual.iter().cloned().fold(0.0, f64::max);
-            record_batch(&iterations, max_res);
-            return Ok((iterations.iter().cloned().max().unwrap_or(0), max_res));
+            return Ok(converged(&iterations, &residual));
         }
         pre.apply_multi(&r, &mut z, K);
         col_dots(&r, &z, &active, &mut rz_new);
@@ -482,6 +351,16 @@ fn multi_body<const K: usize, P: Preconditioner>(
     };
     record_failure(&e);
     Err(e)
+}
+
+/// Records every column of a converged batch as one solve and returns the
+/// batch's `(max_iterations, max_residual)`.
+fn converged(iterations: &[usize], residual: &[f64]) -> (usize, f64) {
+    for (&it, &res) in iterations.iter().zip(residual) {
+        record_solve(it, res);
+    }
+    let max_it = iterations.iter().copied().max().unwrap_or(0);
+    (max_it, residual.iter().copied().fold(0.0, f64::max))
 }
 
 #[cfg(test)]
@@ -581,6 +460,15 @@ mod tests {
             solve(&a, &[1.0, 2.0], &IdentityPreconditioner, &CgOptions::default()),
             Err(SolveError::DimensionMismatch { .. })
         ));
+        // Widths outside 1..=MAX_LOCKSTEP are rejected, not split.
+        for k in [0, MAX_LOCKSTEP + 1] {
+            let b = vec![1.0; 4 * k];
+            let mut x = vec![0.0; 4 * k];
+            assert!(matches!(
+                solve_warm_multi(&a, &b, &mut x, k, &IdentityPreconditioner, &CgOptions::default()),
+                Err(SolveError::DimensionMismatch { .. })
+            ));
+        }
     }
 
     /// Batch of right-hand sides with distinct convergence speeds (including
@@ -606,56 +494,51 @@ mod tests {
         use crate::vecops::{deinterleave_into, interleave};
         let a = grid_laplacian(7, 0.2);
         let n = a.n_rows();
-        let k = 4;
-        let rhs = batch_rhs(n, k);
         let opts = CgOptions::default();
-        for pre_name in ["ic0", "identity"] {
-            let run = |b: &[f64], x: &mut [f64]| -> (usize, f64) {
-                match pre_name {
-                    "ic0" => solve_warm(&a, b, x, &IncompleteCholesky::factor(&a).unwrap(), &opts),
-                    _ => solve_warm(&a, b, x, &IdentityPreconditioner, &opts),
+        let ic0 = IncompleteCholesky::factor(&a).unwrap();
+        for k in 1..=MAX_LOCKSTEP {
+            let rhs = batch_rhs(n, k);
+            for pre_name in ["ic0", "identity"] {
+                let run = |b: &[f64], x: &mut [f64]| -> (usize, f64) {
+                    match pre_name {
+                        "ic0" => solve_warm(&a, b, x, &ic0, &opts),
+                        _ => solve_warm(&a, b, x, &IdentityPreconditioner, &opts),
+                    }
+                    .unwrap()
+                };
+                let run_multi = |b: &[f64], x: &mut [f64]| -> (usize, f64) {
+                    match pre_name {
+                        "ic0" => solve_warm_multi(&a, b, x, k, &ic0, &opts),
+                        _ => solve_warm_multi(&a, b, x, k, &IdentityPreconditioner, &opts),
+                    }
+                    .unwrap()
+                };
+
+                // Sequential reference solves, one vector at a time.
+                let mut seq_iters = 0usize;
+                let seq: Vec<Vec<f64>> = rhs
+                    .iter()
+                    .map(|b| {
+                        let mut x = vec![0.0; n];
+                        let (it, _) = run(b, &mut x);
+                        seq_iters = seq_iters.max(it);
+                        x
+                    })
+                    .collect();
+
+                // One lockstep batch from the same (zero) initial guesses.
+                let refs: Vec<&[f64]> = rhs.iter().map(|v| v.as_slice()).collect();
+                let mut b_multi = vec![0.0; n * k];
+                interleave(&refs, &mut b_multi);
+                let mut x_multi = vec![0.0; n * k];
+                let (it_multi, _) = run_multi(&b_multi, &mut x_multi);
+                assert_eq!(it_multi, seq_iters, "k={k} {pre_name}: iteration counts differ");
+
+                let mut col = vec![0.0; n];
+                for (t, expected) in seq.iter().enumerate() {
+                    deinterleave_into(&x_multi, k, t, &mut col);
+                    assert_eq!(&col, expected, "k={k} {pre_name}: vector {t} differs (bitwise)");
                 }
-                .unwrap()
-            };
-            let run_multi = |b: &[f64], x: &mut [f64]| -> (usize, f64) {
-                match pre_name {
-                    "ic0" => solve_warm_multi(
-                        &a,
-                        b,
-                        x,
-                        k,
-                        &IncompleteCholesky::factor(&a).unwrap(),
-                        &opts,
-                    ),
-                    _ => solve_warm_multi(&a, b, x, k, &IdentityPreconditioner, &opts),
-                }
-                .unwrap()
-            };
-
-            // Sequential reference solves, one vector at a time.
-            let mut seq_iters = 0usize;
-            let seq: Vec<Vec<f64>> = rhs
-                .iter()
-                .map(|b| {
-                    let mut x = vec![0.0; n];
-                    let (it, _) = run(b, &mut x);
-                    seq_iters = seq_iters.max(it);
-                    x
-                })
-                .collect();
-
-            // One lockstep batch from the same (zero) initial guesses.
-            let refs: Vec<&[f64]> = rhs.iter().map(|v| v.as_slice()).collect();
-            let mut b_multi = vec![0.0; n * k];
-            interleave(&refs, &mut b_multi);
-            let mut x_multi = vec![0.0; n * k];
-            let (it_multi, _) = run_multi(&b_multi, &mut x_multi);
-            assert_eq!(it_multi, seq_iters, "{pre_name}: iteration counts differ");
-
-            let mut col = vec![0.0; n];
-            for (t, expected) in seq.iter().enumerate() {
-                deinterleave_into(&x_multi, k, t, &mut col);
-                assert_eq!(&col, expected, "{pre_name}: vector {t} differs (bitwise)");
             }
         }
     }

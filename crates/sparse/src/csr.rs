@@ -121,23 +121,14 @@ impl CsrMatrix {
     }
 
     /// `y = A x` into a caller-provided buffer (avoids allocation in the
-    /// transient time loop).
+    /// transient time loop): the width-1 case of
+    /// [`mul_multi_into`](Self::mul_multi_into).
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != n_cols` or `y.len() != n_rows`.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols, "mul_vec: x length mismatch");
-        assert_eq!(y.len(), self.n_rows, "mul_vec: y length mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.indices[k]];
-            }
-            *yr = acc;
-        }
+        self.mul_multi_into(x, 1, y);
     }
 
     /// `Y = A X` for `k` interleaved vectors (`x[i * k + t]` is entry `i` of
@@ -145,50 +136,36 @@ impl CsrMatrix {
     /// multi-RHS amortization the batched transient solver is built on —
     /// instead of once per vector.
     ///
-    /// Per vector, the accumulation order matches [`mul_vec_into`], so each
+    /// Per vector, the accumulation order does not depend on `k`, so each
     /// column of the result is bitwise identical to a separate `mul_vec`.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`, `x.len() != n_cols * k`, or `y.len() != n_rows * k`.
+    /// Panics if `k` is outside `1..=`[`MAX_LOCKSTEP`](crate::MAX_LOCKSTEP),
+    /// `x.len() != n_cols * k`, or `y.len() != n_rows * k`.
     pub fn mul_multi_into(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        assert!(k > 0, "mul_multi: k must be positive");
         assert_eq!(x.len(), self.n_cols * k, "mul_multi: x length mismatch");
         assert_eq!(y.len(), self.n_rows * k, "mul_multi: y length mismatch");
-        // Common batch widths get a compile-time k so the per-row
-        // accumulator block lives in registers.
         match k {
+            1 => self.mul_multi_fixed::<1>(x, y),
             2 => self.mul_multi_fixed::<2>(x, y),
             3 => self.mul_multi_fixed::<3>(x, y),
             4 => self.mul_multi_fixed::<4>(x, y),
-            8 => self.mul_multi_fixed::<8>(x, y),
-            _ => {
-                for (r, yr) in y.chunks_exact_mut(k).enumerate() {
-                    yr.fill(0.0);
-                    for p in self.indptr[r]..self.indptr[r + 1] {
-                        let v = self.values[p];
-                        let xb = &x[self.indices[p] * k..][..k];
-                        for t in 0..k {
-                            yr[t] += v * xb[t];
-                        }
-                    }
-                }
-            }
+            _ => panic!("mul_multi: width {k} outside 1..={}", crate::MAX_LOCKSTEP),
         }
     }
 
     /// [`mul_multi_into`](Self::mul_multi_into) with the batch width fixed
-    /// at compile time: same floating-point operations in the same order,
-    /// but the accumulator is a `[f64; K]` held in registers.
+    /// at compile time, so the `[f64; K]` accumulator lives in registers.
     fn mul_multi_fixed<const K: usize>(&self, x: &[f64], y: &mut [f64]) {
-        // Exact chunks tell the compiler every block is `K` long; with
-        // `chunks_mut` this loop runs markedly slower for K = 4.
-        for (r, yr) in y.chunks_exact_mut(K).enumerate() {
+        // Exact chunks tell the compiler every block is `K` long, and
+        // zipping the row's value and index slices leaves one bounds check
+        // per entry, which keeps K = 1 as fast as a scalar loop.
+        for (yr, w) in y.chunks_exact_mut(K).zip(self.indptr.windows(2)) {
             let mut acc = [0.0f64; K];
-            for p in self.indptr[r]..self.indptr[r + 1] {
-                let v = self.values[p];
-                let xb: &[f64; K] = x[self.indices[p] * K..][..K].try_into().unwrap();
-                for (a, &xv) in acc.iter_mut().zip(xb) {
+            for (&v, &c) in self.values[w[0]..w[1]].iter().zip(&self.indices[w[0]..w[1]]) {
+                let base = c * K;
+                for (a, &xv) in acc.iter_mut().zip(&x[base..base + K]) {
                     *a += v * xv;
                 }
             }
@@ -329,7 +306,7 @@ mod tests {
         use crate::vecops::{deinterleave_into, interleave};
         let a = laplacian_path(9);
         let n = a.n_rows();
-        for k in [1usize, 3, 5] {
+        for k in 1..=crate::MAX_LOCKSTEP {
             let xs: Vec<Vec<f64>> = (0..k)
                 .map(|t| (0..n).map(|i| (i as f64 + 1.0) * 0.3 - t as f64).collect())
                 .collect();

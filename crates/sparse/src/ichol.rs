@@ -17,7 +17,6 @@ use crate::error::{SolveError, SparseResult};
 /// ```
 /// use pdn_sparse::coo::CooMatrix;
 /// use pdn_sparse::ichol::IncompleteCholesky;
-/// use pdn_sparse::cg::Preconditioner;
 ///
 /// let mut coo = CooMatrix::new(2, 2);
 /// coo.push(0, 0, 4.0);
@@ -26,7 +25,7 @@ use crate::error::{SolveError, SparseResult};
 /// // For a diagonal matrix, IC(0) is exact: M⁻¹ r = A⁻¹ r.
 /// let pre = IncompleteCholesky::factor(&a).unwrap();
 /// let mut z = vec![0.0; 2];
-/// pre.apply(&[4.0, 9.0], &mut z);
+/// pre.solve_into(&[4.0, 9.0], &mut z);
 /// assert_eq!(z, vec![1.0, 1.0]);
 /// ```
 #[derive(Debug, Clone)]
@@ -145,143 +144,77 @@ impl IncompleteCholesky {
         self.n
     }
 
-    /// Solves `L Lᵀ z = r` (forward then backward substitution).
+    /// Solves `L Lᵀ z = r` (forward then backward substitution): the
+    /// width-1 case of [`solve_multi_into`](Self::solve_multi_into).
     ///
     /// # Panics
     ///
     /// Panics if lengths do not match the factor size.
     pub fn solve_into(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.n, "solve: r length mismatch");
-        assert_eq!(z.len(), self.n, "solve: z length mismatch");
-        // Forward: L y = r, row-oriented; diagonal is last entry of each row.
-        for i in 0..self.n {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            let mut s = r[i];
-            for k in lo..hi - 1 {
-                s -= self.values[k] * z[self.indices[k]];
-            }
-            z[i] = s / self.values[hi - 1];
-        }
-        // Backward: Lᵀ x = y, using the transposed (upper-triangular) factor;
-        // in Lᵀ's row i, the diagonal is the *first* entry.
-        for i in (0..self.n).rev() {
-            let lo = self.t_indptr[i];
-            let hi = self.t_indptr[i + 1];
-            let mut s = z[i];
-            for k in lo + 1..hi {
-                s -= self.t_values[k] * z[self.t_indices[k]];
-            }
-            z[i] = s / self.t_values[lo];
-        }
+        self.solve_multi_into(r, z, 1);
     }
 
     /// Solves `L Lᵀ Z = R` for `k` interleaved right-hand sides
     /// (`r[i * k + t]` is entry `i` of vector `t`), streaming the factor
-    /// once per row for all vectors. Per vector, the operations match
-    /// [`solve_into`] exactly, so each column is bitwise identical to a
-    /// separate single-vector solve.
+    /// once per row for all vectors. Per vector, the operations do not
+    /// depend on `k`, so each column is bitwise identical to a separate
+    /// single-vector solve.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or lengths are not `dim() * k`.
+    /// Panics if `k` is outside `1..=`[`MAX_LOCKSTEP`](crate::MAX_LOCKSTEP)
+    /// or lengths are not `dim() * k`.
     pub fn solve_multi_into(&self, r: &[f64], z: &mut [f64], k: usize) {
-        assert!(k > 0, "solve_multi: k must be positive");
         assert_eq!(r.len(), self.n * k, "solve_multi: r length mismatch");
         assert_eq!(z.len(), self.n * k, "solve_multi: z length mismatch");
-        // Common batch widths get a compile-time k so the running block
-        // stays in registers across each row's update loop.
         match k {
+            1 => self.solve_multi_fixed::<1>(r, z),
             2 => self.solve_multi_fixed::<2>(r, z),
             3 => self.solve_multi_fixed::<3>(r, z),
             4 => self.solve_multi_fixed::<4>(r, z),
-            8 => self.solve_multi_fixed::<8>(r, z),
-            _ => self.solve_multi_generic(r, z, k),
+            _ => panic!("solve_multi: width {k} outside 1..={}", crate::MAX_LOCKSTEP),
         }
     }
 
-    fn solve_multi_generic(&self, r: &[f64], z: &mut [f64], k: usize) {
-        let mut s = vec![0.0f64; k];
-        // Forward: L Y = R, row-oriented; diagonal is last entry per row.
-        for i in 0..self.n {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            s.copy_from_slice(&r[i * k..(i + 1) * k]);
-            for p in lo..hi - 1 {
-                let v = self.values[p];
-                let zb = &z[self.indices[p] * k..][..k];
-                for t in 0..k {
-                    s[t] -= v * zb[t];
+    /// [`solve_multi_into`](Self::solve_multi_into) with the batch width
+    /// fixed at compile time, so the `[f64; K]` running block stays in
+    /// registers across each row's update loop.
+    fn solve_multi_fixed<const K: usize>(&self, r: &[f64], z: &mut [f64]) {
+        // Forward: L Y = R, row-oriented; the diagonal is each row's last
+        // entry.
+        for (i, w) in self.indptr.windows(2).enumerate() {
+            let (lo, diag) = (w[0], w[1] - 1);
+            let mut s: [f64; K] = r[i * K..(i + 1) * K].try_into().expect("K-wide block");
+            for (&v, &c) in self.values[lo..diag].iter().zip(&self.indices[lo..diag]) {
+                let base = c * K;
+                for (sv, &zv) in s.iter_mut().zip(&z[base..base + K]) {
+                    *sv -= v * zv;
                 }
             }
-            let d = self.values[hi - 1];
-            for t in 0..k {
-                z[i * k + t] = s[t] / d;
+            let d = self.values[diag];
+            for (zv, &sv) in z[i * K..(i + 1) * K].iter_mut().zip(&s) {
+                *zv = sv / d;
             }
         }
         // Backward: Lᵀ X = Y; in Lᵀ's row i the diagonal is the first entry.
-        for i in (0..self.n).rev() {
-            let lo = self.t_indptr[i];
-            let hi = self.t_indptr[i + 1];
-            s.copy_from_slice(&z[i * k..(i + 1) * k]);
-            for p in lo + 1..hi {
-                let v = self.t_values[p];
-                let zb = &z[self.t_indices[p] * k..][..k];
-                for t in 0..k {
-                    s[t] -= v * zb[t];
-                }
-            }
-            let d = self.t_values[lo];
-            for t in 0..k {
-                z[i * k + t] = s[t] / d;
-            }
-        }
-    }
-
-    /// [`solve_multi_generic`](Self::solve_multi_generic) with the batch
-    /// width fixed at compile time: identical operations in identical
-    /// order, with the `[f64; K]` block held in registers.
-    fn solve_multi_fixed<const K: usize>(&self, r: &[f64], z: &mut [f64]) {
-        for i in 0..self.n {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            let mut s: [f64; K] = r[i * K..(i + 1) * K].try_into().unwrap();
-            for p in lo..hi - 1 {
-                let v = self.values[p];
-                let zb: &[f64; K] = z[self.indices[p] * K..][..K].try_into().unwrap();
-                for (sv, &zv) in s.iter_mut().zip(zb) {
+        for (i, w) in self.t_indptr.windows(2).enumerate().rev() {
+            let (diag, hi) = (w[0], w[1]);
+            let mut s: [f64; K] = z[i * K..(i + 1) * K].try_into().expect("K-wide block");
+            for (&v, &c) in self.t_values[diag + 1..hi].iter().zip(&self.t_indices[diag + 1..hi]) {
+                let base = c * K;
+                for (sv, &zv) in s.iter_mut().zip(&z[base..base + K]) {
                     *sv -= v * zv;
                 }
             }
-            let d = self.values[hi - 1];
-            for (t, &sv) in s.iter().enumerate() {
-                z[i * K + t] = sv / d;
-            }
-        }
-        for i in (0..self.n).rev() {
-            let lo = self.t_indptr[i];
-            let hi = self.t_indptr[i + 1];
-            let mut s: [f64; K] = z[i * K..(i + 1) * K].try_into().unwrap();
-            for p in lo + 1..hi {
-                let v = self.t_values[p];
-                let zb: &[f64; K] = z[self.t_indices[p] * K..][..K].try_into().unwrap();
-                for (sv, &zv) in s.iter_mut().zip(zb) {
-                    *sv -= v * zv;
-                }
-            }
-            let d = self.t_values[lo];
-            for (t, &sv) in s.iter().enumerate() {
-                z[i * K + t] = sv / d;
+            let d = self.t_values[diag];
+            for (zv, &sv) in z[i * K..(i + 1) * K].iter_mut().zip(&s) {
+                *zv = sv / d;
             }
         }
     }
 }
 
 impl Preconditioner for IncompleteCholesky {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.solve_into(r, z);
-    }
-
     fn apply_multi(&self, r: &[f64], z: &mut [f64], k: usize) {
         self.solve_multi_into(r, z, k);
     }
@@ -359,11 +292,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn incomplete_on_2d_grid_is_close() {
-        // 2-D 5-point Laplacian has fill; IC(0) is inexact but should still
-        // be a decent approximation: ‖A (LLᵀ)⁻¹ b − b‖ ≪ ‖b‖.
-        let n = 4;
+    /// 2-D 5-point Laplacian on an `n × n` grid: IC(0) drops fill on it.
+    fn grid_2d(n: usize) -> CsrMatrix {
         let idx = |r: usize, c: usize| r * n + c;
         let mut coo = CooMatrix::new(n * n, n * n);
         for r in 0..n {
@@ -377,7 +307,46 @@ mod tests {
                 }
             }
         }
-        let a = coo.to_csr();
+        coo.to_csr()
+    }
+
+    #[test]
+    fn multi_solve_is_bitwise_identical_to_single_at_every_width() {
+        use crate::vecops::{deinterleave_into, interleave};
+        let a = grid_2d(6);
+        let n = a.n_rows();
+        let pre = IncompleteCholesky::factor(&a).unwrap();
+        for k in 1..=crate::MAX_LOCKSTEP {
+            let rhs: Vec<Vec<f64>> = (0..k)
+                .map(|t| (0..n).map(|i| ((i * (t + 2)) % 9) as f64 - 4.0 + t as f64).collect())
+                .collect();
+            let singles: Vec<Vec<f64>> = rhs
+                .iter()
+                .map(|b| {
+                    let mut z = vec![0.0; n];
+                    pre.solve_into(b, &mut z);
+                    z
+                })
+                .collect();
+            let refs: Vec<&[f64]> = rhs.iter().map(|v| v.as_slice()).collect();
+            let mut r = vec![0.0; n * k];
+            interleave(&refs, &mut r);
+            let mut z = vec![0.0; n * k];
+            pre.solve_multi_into(&r, &mut z, k);
+            let mut col = vec![0.0; n];
+            for (t, expected) in singles.iter().enumerate() {
+                deinterleave_into(&z, k, t, &mut col);
+                assert_eq!(&col, expected, "k={k}: vector {t} differs (bitwise)");
+            }
+        }
+    }
+
+    #[test]
+    fn incomplete_on_2d_grid_is_close() {
+        // 2-D 5-point Laplacian has fill; IC(0) is inexact but should still
+        // be a decent approximation: ‖A (LLᵀ)⁻¹ b − b‖ ≪ ‖b‖.
+        let n = 4;
+        let a = grid_2d(n);
         let pre = IncompleteCholesky::factor(&a).unwrap();
         let b: Vec<f64> = (0..n * n).map(|i| (i % 3) as f64 - 1.0).collect();
         let mut z = vec![0.0; n * n];

@@ -5,8 +5,8 @@
 //! (paper §2). This crate provides everything the simulator needs:
 //!
 //! * [`coo::CooMatrix`] — triplet assembly during MNA stamping;
-//! * [`csr::CsrMatrix`] — compressed-sparse-row storage with single- and
-//!   multi-vector mat-vec;
+//! * [`csr::CsrMatrix`] — compressed-sparse-row storage with lockstep
+//!   mat-vec over 1..=[`MAX_LOCKSTEP`] interleaved vectors;
 //! * [`dense::DenseMatrix`] — dense fallback with Cholesky, used for small
 //!   systems and for cross-checking the sparse paths in tests;
 //! * [`supernodal::SupernodalCholesky`] — supernodal Cholesky with dense
@@ -50,6 +50,12 @@ pub mod ordering;
 pub mod panel;
 pub mod supernodal;
 pub mod vecops;
+
+/// The widest lockstep batch: SpMV, the IC(0) solve and PCG each run one
+/// body instantiated for every width `K` in `1..=MAX_LOCKSTEP`, and a
+/// single vector is the batch of one. Wider calls are rejected, not
+/// split; callers with more vectors chunk them.
+pub const MAX_LOCKSTEP: usize = 4;
 
 pub use cg::{CgOptions, CgSolution};
 pub use coo::CooMatrix;

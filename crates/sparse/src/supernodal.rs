@@ -522,30 +522,25 @@ impl SupernodalCholesky {
         x
     }
 
-    /// Solves `A x = b` in place.
+    /// Solves `A x = b` in place: the `k = 1` case of
+    /// [`SupernodalCholesky::solve_multi_in_place`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the factor dimension.
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        assert_eq!(x.len(), self.sym.n, "solve: length mismatch");
-        let mut xp = vec![0.0; self.sym.n];
-        for (new, &old) in self.sym.perm.iter().enumerate() {
-            xp[new] = x[old];
-        }
-        self.solve_permuted_multi(&mut xp, 1);
-        for (new, &old) in self.sym.perm.iter().enumerate() {
-            x[old] = xp[new];
-        }
+        self.solve_multi_in_place(x, 1);
     }
 
     /// Solves `A X = B` for `k` interleaved right-hand sides (entry `i` of
     /// vector `t` at `x[i * k + t]`, the layout of
     /// [`crate::vecops::interleave`]). Every panel is streamed once per
     /// block instead of once per vector, and per-vector operations run in
-    /// the same order as a `k = 1` solve, so
-    /// each vector's result is bitwise identical to a separate
-    /// [`SupernodalCholesky::solve_in_place`].
+    /// the same order at any `k`, so each vector's result is bitwise
+    /// identical to a separate [`SupernodalCholesky::solve_in_place`].
+    /// Unlike the lockstep CG kernels, `k` is a runtime width with no upper
+    /// bound: [`SupernodalCholesky::solve_sweep`] runs blocks of
+    /// [`SWEEP_BLOCK`] vectors through it.
     ///
     /// # Panics
     ///

@@ -1,54 +1,4 @@
-//! Small dense-vector kernels shared by the iterative solvers.
-
-/// Dot product.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(pdn_sparse::vecops::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-/// ```
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// `y += alpha * x`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y = x + beta * y` (the CG direction update).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "xpby: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = xi + beta * *yi;
-    }
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
-/// Maximum absolute entry (∞-norm).
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
+//! The interleaved multi-RHS layout shared by the lockstep solvers.
 
 /// Packs `k` equal-length vectors into the interleaved multi-RHS layout used
 /// by the batched solvers: entry `i` of vector `t` lands at `dst[i * k + t]`.
@@ -82,37 +32,5 @@ pub fn deinterleave_into(src: &[f64], k: usize, t: usize, dst: &mut [f64]) {
     assert_eq!(dst.len(), src.len() / k, "deinterleave: dst length mismatch");
     for (i, d) in dst.iter_mut().enumerate() {
         *d = src[i * k + t];
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn xpby_updates_direction() {
-        let mut p = vec![1.0, 2.0];
-        xpby(&[10.0, 20.0], 0.5, &mut p);
-        assert_eq!(p, vec![10.5, 21.0]);
-    }
-
-    #[test]
-    fn norms() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 4.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dot_checks_length() {
-        let _ = dot(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -47,6 +47,22 @@ if grep -q '"name":"sim.wnv.vectors"' "$t2"; then
     echo "cache smoke: second run simulated vectors despite a cache hit"
     exit 1
 fi
+# Every CG column is one solve, alone or in a lockstep batch: run 1 makes
+# 4 vectors x (1 DC solve + 30 steps), and the iteration histogram sees
+# each of them.
+python3 - "$t1" <<'PYEOF'
+import json, sys
+last = {}
+for line in open(sys.argv[1]):
+    rec = json.loads(line)
+    last[(rec["kind"], rec.get("name"))] = rec
+solves = last.get(("counter", "sparse.cg.solves"), {}).get("value")
+per_solve = last.get(("histogram", "sparse.cg.iterations_per_solve"), {}).get("count")
+want = 4 * 31
+assert solves == per_solve == want, (
+    f"cache smoke: sparse.cg.solves {solves} and iterations_per_solve count "
+    f"{per_solve}, want both {want}")
+PYEOF
 echo "cache round trip: 4 stores on run 1, 4 hits (no simulation) on run 2"
 
 echo

@@ -9,6 +9,7 @@
 use pdn_wnv::core::telemetry;
 use pdn_wnv::grid::design::{DesignPreset, DesignScale};
 use pdn_wnv::sim::transient::TransientSimulator;
+use pdn_wnv::sim::wnv::{WnvRunner, DEFAULT_BATCH};
 use pdn_wnv::vectors::generator::{GeneratorConfig, VectorGenerator};
 use std::sync::Mutex;
 
@@ -251,5 +252,29 @@ fn solver_counters_match_transient_stats() {
     assert_eq!(steps.count, stats.steps as u64);
     assert!(telemetry::counter_value("sparse.ichol.factorizations") >= 1);
     assert!(telemetry::counter_value("sparse.cg.solves") >= stats.steps as u64);
+    telemetry::reset();
+}
+
+#[test]
+fn lockstep_cg_columns_are_counted_as_solves() {
+    let _guard = lock();
+    telemetry::reset();
+    telemetry::enable();
+
+    let grid = DesignPreset::D1.spec(DesignScale::Tiny).build(11).expect("grid");
+    let steps = 20;
+    let gen = VectorGenerator::new(&grid, GeneratorConfig { steps, ..Default::default() });
+    let vectors = gen.generate_group(DEFAULT_BATCH, 3);
+    let runner = WnvRunner::new(&grid).expect("runner");
+    runner.run_group(&vectors).expect("group");
+
+    // One lockstep batch: each vector's DC solve plus one CG column per
+    // step, every column counted as a solve under the same names.
+    let solves = (DEFAULT_BATCH * (steps + 1)) as u64;
+    assert_eq!(telemetry::counter_value("sparse.cg.solves"), solves);
+    let per_solve =
+        telemetry::histogram_summary("sparse.cg.iterations_per_solve").expect("iterations");
+    assert_eq!(per_solve.count, solves);
+    assert_eq!(per_solve.sum, telemetry::counter_value("sparse.cg.iterations") as f64);
     telemetry::reset();
 }
