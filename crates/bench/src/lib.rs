@@ -1,41 +1,23 @@
-//! Shared fixtures for the benchmark suite.
-//!
-//! Every bench target regenerates one of the paper's tables or figures at
-//! test (`Tiny`) scale in its setup — so `cargo bench` both measures the
-//! headline operations (simulation, inference, compression) and prints the
-//! corresponding artifact — while the full-scale artifacts come from
-//! `cargo run -p pdn-eval --release --bin experiments`.
+//! Shared fixtures for the component microbenchmarks.
 
-use pdn_eval::harness::{EvaluatedDesign, ExperimentConfig, PreparedDesign};
 use pdn_grid::build::PowerGrid;
 use pdn_grid::design::{DesignPreset, DesignScale};
 use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
 use pdn_vectors::vector::TestVector;
 
-/// The bench-scale experiment configuration (Tiny designs, short traces).
-pub fn bench_config() -> ExperimentConfig {
-    ExperimentConfig::quick()
-}
+/// The seed every bench grid is built with. `BENCH_components.json` was
+/// recorded on grids built with it, so changing it changes every matrix.
+const BENCH_SEED: u64 = 7;
 
 /// Builds a Tiny-scale grid for a preset with the bench seed.
 pub fn bench_grid(preset: DesignPreset) -> PowerGrid {
-    preset.spec(DesignScale::Tiny).build(bench_config().seed).expect("preset valid")
+    preset.spec(DesignScale::Tiny).build(BENCH_SEED).expect("preset valid")
 }
 
 /// One random vector of `steps` stamps for a grid.
 pub fn bench_vector(grid: &PowerGrid, steps: usize) -> TestVector {
     let gen = VectorGenerator::new(grid, GeneratorConfig { steps, ..Default::default() });
     gen.generate(1)
-}
-
-/// A prepared (simulated) Tiny design.
-pub fn bench_prepared(preset: DesignPreset) -> PreparedDesign {
-    PreparedDesign::prepare(preset, &bench_config()).expect("prepare")
-}
-
-/// A fully evaluated (trained) Tiny design.
-pub fn bench_evaluated(preset: DesignPreset) -> EvaluatedDesign {
-    EvaluatedDesign::evaluate(preset, &bench_config()).expect("evaluate")
 }
 
 #[cfg(test)]

@@ -613,7 +613,7 @@ impl Drop for Span {
         let start_us = end_us.saturating_sub(dur_us);
         let mut line = String::with_capacity(160);
         let _ = write!(line, "{{\"ts_us\":{end_us},\"kind\":\"span\",\"name\":");
-        push_json_str(&mut line, &live.name);
+        let _ = write_json_str(&mut line, &live.name);
         let _ = write!(line, ",\"span\":{}", live.id);
         match live.parent {
             Some(p) => {
@@ -635,7 +635,7 @@ impl Drop for Span {
                 continue;
             }
             line.push(',');
-            push_json_str(&mut line, key);
+            let _ = write_json_str(&mut line, key);
             line.push(':');
             push_json_value(&mut line, value);
         }
@@ -707,13 +707,13 @@ pub fn event(name: &str, fields: &[(&str, Value)]) {
     }
     let mut line = String::with_capacity(96);
     let _ = write!(line, "{{\"ts_us\":{},\"kind\":\"event\",\"name\":", s.ts_us());
-    push_json_str(&mut line, name);
+    let _ = write_json_str(&mut line, name);
     for (key, value) in fields {
         if matches!(*key, "ts_us" | "kind" | "name") {
             continue;
         }
         line.push(',');
-        push_json_str(&mut line, key);
+        let _ = write_json_str(&mut line, key);
         line.push(':');
         push_json_value(&mut line, value);
     }
@@ -752,14 +752,14 @@ fn aggregate_records(s: &State) -> Vec<String> {
     for (name, value) in &s.counters {
         let mut line = String::with_capacity(64);
         let _ = write!(line, "{{\"ts_us\":{ts},\"kind\":\"counter\",\"name\":");
-        push_json_str(&mut line, name);
+        let _ = write_json_str(&mut line, name);
         let _ = write!(line, ",\"value\":{value}}}");
         lines.push(line);
     }
     for (name, value) in &s.gauges {
         let mut line = String::with_capacity(64);
         let _ = write!(line, "{{\"ts_us\":{ts},\"kind\":\"gauge\",\"name\":");
-        push_json_str(&mut line, name);
+        let _ = write_json_str(&mut line, name);
         line.push_str(",\"value\":");
         push_json_value(&mut line, &Value::F64(*value));
         line.push('}');
@@ -769,7 +769,7 @@ fn aggregate_records(s: &State) -> Vec<String> {
         let h = hist.summarize();
         let mut line = String::with_capacity(128);
         let _ = write!(line, "{{\"ts_us\":{ts},\"kind\":\"histogram\",\"name\":");
-        push_json_str(&mut line, name);
+        let _ = write_json_str(&mut line, name);
         let _ = write!(line, ",\"count\":{}", h.count);
         for (key, v) in [
             ("sum", h.sum),
@@ -995,22 +995,28 @@ macro_rules! span {
     }};
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
+/// Writes `s` as a JSON string literal, quotes included, with the escapes
+/// JSON requires. Every JSON writer in the workspace uses it: the
+/// telemetry sink, `pdn-eval`'s `Json` display and Chrome trace export,
+/// and the serve daemon's responses, error bodies and access log.
+///
+/// # Errors
+///
+/// Only those of `out`; writing to a `String` cannot fail.
+pub fn write_json_str(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 fn push_json_value(out: &mut String, v: &Value) {
@@ -1031,7 +1037,9 @@ fn push_json_value(out: &mut String, v: &Value) {
         Value::Bool(x) => {
             let _ = write!(out, "{x}");
         }
-        Value::Str(x) => push_json_str(out, x),
+        Value::Str(x) => {
+            let _ = write_json_str(out, x);
+        }
     }
 }
 
@@ -1131,7 +1139,7 @@ mod tests {
     #[test]
     fn json_escaping_is_sound() {
         let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\te\u{1}");
+        write_json_str(&mut out, "a\"b\\c\nd\te\u{1}").unwrap();
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         let mut v = String::new();
         push_json_value(&mut v, &Value::F64(f64::NAN));

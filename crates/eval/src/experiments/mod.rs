@@ -9,11 +9,14 @@
 //! | Fig. 5  | [`fig5`]   | D4 detail: RE histogram, RE map, both maps |
 //! | Fig. 6  | [`fig6`]   | temporal compression: RE and runtime vs rate |
 //! | (extension) | [`ablations`] | feature/compression ablations + static shortcut |
+//!
+//! [`record`] writes the rendered results into EXPERIMENTS.md.
 
 pub mod ablations;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+pub mod record;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -102,7 +102,7 @@ impl ExperimentConfig {
 
 /// A design with its vector group and simulated ground truth — everything
 /// up to (but not including) learning.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PreparedDesign {
     /// Which of D1–D4 this is.
     pub preset: DesignPreset,
@@ -114,6 +114,10 @@ pub struct PreparedDesign {
     pub reports: Vec<NoiseReport>,
     /// Mean simulator wall-clock per vector (the "Commercial (s)" column).
     pub sim_time_per_vector: Duration,
+    /// The simulator's one-off set-up for the design: stamping, and for
+    /// the direct solver the symbolic analysis and numeric factor (the
+    /// "Set-up (s)" column).
+    pub setup_time: Duration,
 }
 
 impl PreparedDesign {
@@ -170,7 +174,9 @@ impl PreparedDesign {
             GeneratorConfig { steps: config.steps, ..Default::default() },
         );
         let vectors = gen.generate_group(config.vectors, config.seed);
+        let t_setup = Instant::now();
         let runner = WnvRunner::with_solver(&grid, solver)?;
+        let setup_time = t_setup.elapsed();
         let t_sim = Instant::now();
         let reports = run_group_cached(cache, &runner, &grid, &vectors)?;
         let sim_wall = t_sim.elapsed();
@@ -189,7 +195,7 @@ impl PreparedDesign {
                 ],
             );
         }
-        Ok(PreparedDesign { preset, grid, vectors, reports, sim_time_per_vector })
+        Ok(PreparedDesign { preset, grid, vectors, reports, sim_time_per_vector, setup_time })
     }
 
     /// The union (max over vectors) worst-noise map — Table 1's per-design

@@ -6,6 +6,7 @@
 //! telemetry writer emits today, so the reader side never has to chase the
 //! writer's schema.
 
+use pdn_core::telemetry::write_json_str;
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
@@ -96,7 +97,7 @@ impl std::fmt::Display for Json {
                     f.write_str("null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_json_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -113,30 +114,13 @@ impl std::fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_json_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
         }
     }
-}
-
-/// Writes `s` as a JSON string literal with the escapes JSON requires.
-pub(crate) fn write_escaped(f: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
-        }
-    }
-    f.write_str("\"")
 }
 
 /// Parses one complete JSON value from `text` (surrounding whitespace

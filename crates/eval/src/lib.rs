@@ -23,8 +23,8 @@
 //!   `pdn report`.
 //!
 //! The `experiments` binary (`cargo run -p pdn-eval --release --bin
-//! experiments`) runs the full suite and writes artifacts under
-//! `target/experiments/`.
+//! experiments`) runs the full suite, writes artifacts under
+//! `target/experiments/` and records the results in EXPERIMENTS.md.
 
 pub mod experiments;
 pub mod harness;

@@ -36,13 +36,13 @@ pub mod proto;
 pub mod window;
 
 use batcher::{BatchConfig, Batched, BatcherStats, Job};
-use pdn_core::telemetry;
+use pdn_core::telemetry::{self, write_json_str};
 use pdn_grid::build::PowerGrid;
 use pdn_model::model::Predictor;
 use pdn_sim::cache::{run_group_cached, WnvCache};
 use pdn_sim::wnv::{WnvRunner, DEFAULT_BATCH};
 use pdn_vectors::vector::TestVector;
-use proto::{error_json, push_json_str, MapResponse, VectorRequest};
+use proto::{error_json, MapResponse, VectorRequest};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -516,13 +516,13 @@ fn write_access_log(
     line.push_str("{\"ts_us\":");
     let _ = std::fmt::Write::write_fmt(&mut line, format_args!("{ts_us}"));
     line.push_str(",\"id\":");
-    push_json_str(&mut line, request_id);
+    let _ = write_json_str(&mut line, request_id);
     line.push_str(",\"method\":");
-    push_json_str(&mut line, &request.method);
+    let _ = write_json_str(&mut line, &request.method);
     line.push_str(",\"path\":");
-    push_json_str(&mut line, &request.path);
+    let _ = write_json_str(&mut line, &request.path);
     line.push_str(",\"route\":");
-    push_json_str(&mut line, label);
+    let _ = write_json_str(&mut line, label);
     let _ = std::fmt::Write::write_fmt(
         &mut line,
         format_args!(

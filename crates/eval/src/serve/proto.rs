@@ -9,6 +9,7 @@
 //! on to compare served predictions against offline `Predictor::predict`.
 
 use pdn_core::map::TileMap;
+use pdn_core::telemetry::write_json_str;
 use pdn_vectors::io::read_csv;
 use pdn_vectors::vector::TestVector;
 use std::fmt::Write as _;
@@ -130,7 +131,7 @@ impl MapResponse {
         push_f64(&mut out, self.hotspot_ratio);
         if !self.request_id.is_empty() {
             out.push_str(",\"request_id\":");
-            push_json_str(&mut out, &self.request_id);
+            let _ = write_json_str(&mut out, &self.request_id);
         }
         let _ = write!(
             out,
@@ -171,27 +172,9 @@ fn push_f64(out: &mut String, v: f64) {
 pub fn error_json(message: &str) -> String {
     let mut out = String::with_capacity(message.len() + 16);
     out.push_str("{\"error\":");
-    push_json_str(&mut out, message);
+    let _ = write_json_str(&mut out, message);
     out.push('}');
     out
-}
-
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 //!   simulate-vs-predict speedup table, and an A-vs-B regression diff.
 
 use crate::jsonl::{self, Json};
+use pdn_core::telemetry::write_json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -336,13 +337,13 @@ impl TelemetryLog {
                 let _ = write!(args, "{{\"ok\":{}", s.ok);
                 for (k, v) in &s.fields {
                     args.push(',');
-                    let _ = jsonl::write_escaped(&mut args, k);
+                    let _ = write_json_str(&mut args, k);
                     let _ = write!(args, ":{v}");
                 }
                 args.push('}');
                 let mut line = String::with_capacity(128);
                 let _ = write!(line, "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{},\"cat\":\"pdn\",\"name\":", s.thread, s.start_us);
-                let _ = jsonl::write_escaped(&mut line, &s.name);
+                let _ = write_json_str(&mut line, &s.name);
                 let _ = write!(line, ",\"args\":{args}}}");
                 push(&mut out, &line, &mut first);
                 stack.push((i, false));
@@ -357,7 +358,7 @@ impl TelemetryLog {
                     s.thread,
                     s.start_us + s.dur_us
                 );
-                let _ = jsonl::write_escaped(&mut line, &s.name);
+                let _ = write_json_str(&mut line, &s.name);
                 line.push('}');
                 push(&mut out, &line, &mut first);
             }
@@ -366,13 +367,13 @@ impl TelemetryLog {
         for ev in &self.events {
             let mut line = String::with_capacity(128);
             let _ = write!(line, "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":{},\"cat\":\"pdn\",\"name\":", ev.ts_us);
-            let _ = jsonl::write_escaped(&mut line, &ev.name);
+            let _ = write_json_str(&mut line, &ev.name);
             line.push_str(",\"args\":{");
             for (i, (k, v)) in ev.fields.iter().enumerate() {
                 if i > 0 {
                     line.push(',');
                 }
-                let _ = jsonl::write_escaped(&mut line, k);
+                let _ = write_json_str(&mut line, k);
                 let _ = write!(line, ":{v}");
             }
             line.push_str("}}");

@@ -16,6 +16,7 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release --offline
+cargo build --release --offline -p pdn-eval --bin experiments
 
 echo
 echo "== cargo test =="
@@ -160,7 +161,45 @@ flag_out="$(./target/release/pdn simulate --design D1 --sovler direct 2>&1)" \
     && { echo "flag check: simulate accepted --sovler"; exit 1; }
 grep -q 'unknown flag --sovler' <<<"$flag_out" \
     || { echo "flag check: simulate error does not name --sovler"; echo "$flag_out"; exit 1; }
-echo "unknown flags: predict --precision and simulate --sovler rejected by name"
+# A misspelt --quick must not start the CI-scale suite (which would rewrite
+# EXPERIMENTS.md); the timeout stops a binary that ignores the flag.
+flag_out="$(timeout 60 ./target/release/experiments --quik --out "$cache_dir/quik" 2>&1)" \
+    && { echo "flag check: experiments accepted --quik"; exit 1; }
+grep -q 'unknown flag --quik' <<<"$flag_out" \
+    || { echo "flag check: experiments error does not name --quik"; echo "$flag_out"; exit 1; }
+echo "unknown flags: predict --precision, simulate --sovler and experiments --quik rejected by name"
+
+echo
+echo "== experiments quick =="
+# The one regeneration path end to end at Tiny scale: the suite simulates
+# each design once (4 designs x 10 vectors), fills every marker pair of its
+# own EXPERIMENTS.md copy, and leaves the committed document alone.
+cp EXPERIMENTS.md "$cache_dir/EXPERIMENTS.committed.md"
+PDN_TELEMETRY="$cache_dir/exp.jsonl" ./target/release/experiments --quick \
+    --out "$cache_dir/exp" >/dev/null \
+    || { echo "experiments quick: the suite failed"; exit 1; }
+cmp EXPERIMENTS.md "$cache_dir/EXPERIMENTS.committed.md" \
+    || { echo "experiments quick: --quick rewrote the committed EXPERIMENTS.md"; exit 1; }
+python3 - "$cache_dir/exp/EXPERIMENTS.md" "$cache_dir/exp.jsonl" <<'PYEOF'
+import json, re, sys
+doc = open(sys.argv[1]).read()
+want = {"RUN", "TABLE1", "TABLE2", "TABLE3", "FIG4", "FIG5", "FIG6", "ABLATIONS"}
+begins = re.findall(r"<!-- ([A-Z0-9]+)_MEASURED -->", doc)
+ends = re.findall(r"<!-- /([A-Z0-9]+)_MEASURED -->", doc)
+assert sorted(begins) == sorted(ends) == sorted(want), (
+    f"experiments quick: marker pairs {sorted(begins)} / {sorted(ends)}, want {sorted(want)}")
+for name in want:
+    body = doc.split(f"<!-- {name}_MEASURED -->")[1].split(f"<!-- /{name}_MEASURED -->")[0]
+    assert body.strip(), f"experiments quick: section {name}_MEASURED is empty"
+last = {}
+for line in open(sys.argv[2]):
+    rec = json.loads(line)
+    last[(rec["kind"], rec.get("name"))] = rec
+vectors = last.get(("counter", "sim.wnv.vectors"), {}).get("value")
+assert vectors == 40, (
+    f"experiments quick: sim.wnv.vectors {vectors}, want 40 (4 designs x 10 vectors, once each)")
+print(f"experiments quick: {len(want)} sections filled, sim.wnv.vectors = {vectors}")
+PYEOF
 
 echo
 echo "== serve smoke =="

@@ -3,18 +3,31 @@
 
 use pdn_wnv::eval::harness::{EvaluatedDesign, ExperimentConfig, PreparedDesign};
 use pdn_wnv::grid::design::{DesignPreset, DesignScale};
+use pdn_wnv::model::trainer::TrainConfig;
+use pdn_wnv::sim::wnv::NoiseReport;
 use pdn_wnv::vectors::generator::{GeneratorConfig, VectorGenerator};
 
 #[test]
 fn grids_vectors_and_reports_reproduce() {
-    let cfg = ExperimentConfig::quick();
+    // The third input differs only in `train`, as the experiment suite's
+    // Fig 6 and ablation configuration does: preparation must not read it,
+    // which is what lets the suite reuse one simulation per design.
+    let quick = ExperimentConfig::quick();
+    let cfg = ExperimentConfig { train: TrainConfig { epochs: 150, ..quick.train }, ..quick };
+    let sweep = ExperimentConfig { train: TrainConfig { epochs: 60, ..cfg.train }, ..cfg };
     let a = PreparedDesign::prepare(DesignPreset::D1, &cfg).expect("prepare");
-    let b = PreparedDesign::prepare(DesignPreset::D1, &cfg).expect("prepare");
-    assert_eq!(a.grid.loads(), b.grid.loads());
-    assert_eq!(a.vectors, b.vectors);
-    for (ra, rb) in a.reports.iter().zip(&b.reports) {
-        assert_eq!(ra.worst_noise, rb.worst_noise);
-        assert_eq!(ra.max_noise, rb.max_noise);
+    for other in [cfg, sweep] {
+        let b = PreparedDesign::prepare(DesignPreset::D1, &other).expect("prepare");
+        assert_eq!(a.grid.loads(), b.grid.loads());
+        assert_eq!(a.vectors, b.vectors);
+        assert_eq!(a.reports.len(), b.reports.len());
+        for (ra, rb) in a.reports.iter().zip(&b.reports) {
+            let bits = |r: &NoiseReport| -> Vec<u64> {
+                r.worst_noise.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(ra), bits(rb));
+            assert_eq!(ra.max_noise.0.to_bits(), rb.max_noise.0.to_bits());
+        }
     }
 }
 
