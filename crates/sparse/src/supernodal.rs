@@ -139,10 +139,11 @@ pub struct SymbolicCholesky {
 impl SymbolicCholesky {
     /// Analyzes a symmetric positive-definite matrix, selecting the fill
     /// ordering at runtime: AMD and RCM both have their factor fill
-    /// predicted from an O(nnz(L)) symbolic pass, and the smaller one
-    /// wins — at every size; both candidates have near-linear ordering
-    /// cost, so no cutoff excludes the comparison at paper scale. The
-    /// comparison is recorded on the result
+    /// counted exactly in near-linear time ([`column_counts`]), and the
+    /// smaller one wins — at every size; both candidates have near-linear
+    /// ordering cost, so no cutoff excludes the comparison at paper scale.
+    /// AMD's count is the first pass of its own analysis, which carries on
+    /// when AMD wins. The comparison is recorded on the result
     /// ([`SymbolicCholesky::selection`]) and exported through the
     /// `factor.ordering` / `factor.predicted_nnz_l.{rcm,amd}` telemetry
     /// gauges.
@@ -153,18 +154,19 @@ impl SymbolicCholesky {
     pub fn analyze(a: &CsrMatrix) -> SparseResult<SymbolicCholesky> {
         check_square(a)?;
         let rcm_perm = reverse_cuthill_mckee(a);
-        let amd_perm = amd(a);
         let rcm_nnz = predicted_factor_nnz(a, &rcm_perm);
-        let amd_nnz = predicted_factor_nnz(a, &amd_perm);
-        let (ordering, p0) = if amd_nnz <= rcm_nnz {
-            (FillOrdering::Amd, amd_perm)
+        let amd_tree = EliminationStructure::new(a, amd(a));
+        let amd_nnz = amd_tree.counts.iter().sum();
+        let mut sym = if amd_nnz <= rcm_nnz {
+            amd_tree.into_symbolic(FillOrdering::Amd)
         } else {
-            (FillOrdering::Rcm, rcm_perm)
+            drop(amd_tree);
+            EliminationStructure::new(a, rcm_perm).into_symbolic(FillOrdering::Rcm)
         };
+        let ordering = sym.ordering;
         pdn_core::telemetry::gauge_set("factor.ordering", ordering.telemetry_index() as f64);
         pdn_core::telemetry::gauge_set("factor.predicted_nnz_l.rcm", rcm_nnz as f64);
         pdn_core::telemetry::gauge_set("factor.predicted_nnz_l.amd", amd_nnz as f64);
-        let mut sym = SymbolicCholesky::analyze_perm(a, ordering, p0)?;
         sym.selection = Some(OrderingSelection { ordering, rcm_nnz, amd_nnz });
         Ok(sym)
     }
@@ -184,38 +186,88 @@ impl SymbolicCholesky {
             FillOrdering::Rcm => reverse_cuthill_mckee(a),
             FillOrdering::Amd => amd(a),
         };
-        SymbolicCholesky::analyze_perm(a, ordering, p0)
+        Ok(EliminationStructure::new(a, p0).into_symbolic(ordering))
     }
 
-    /// Shared back half of the analysis, starting from an already-computed
-    /// fill permutation `p0` (`p0[new] = old`).
-    fn analyze_perm(
-        a: &CsrMatrix,
-        ordering: FillOrdering,
-        p0: Vec<usize>,
-    ) -> SparseResult<SymbolicCholesky> {
-        let n = a.n_rows();
-        debug_assert_eq!(p0.len(), n);
-        // Postorder the elimination tree so supernodes become contiguous
-        // column runs, then fold the postorder into the permutation.
+    /// Dimension of the analyzed system.
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// The fill ordering this analysis applied.
+    pub fn ordering(&self) -> FillOrdering {
+        self.ordering
+    }
+
+    /// The RCM-vs-AMD comparison behind an auto-selected ordering, or
+    /// `None` when the caller fixed the ordering via
+    /// [`SymbolicCholesky::analyze_with`].
+    pub fn selection(&self) -> Option<OrderingSelection> {
+        self.selection
+    }
+
+    /// Number of supernodes.
+    pub fn n_supernodes(&self) -> usize {
+        self.sn_ptr.len() - 1
+    }
+
+    /// Stored panel entries (dense rectangles; the allocation of one
+    /// numeric factorization).
+    pub fn panel_nnz(&self) -> usize {
+        *self.panel_ptr.last().unwrap_or(&0)
+    }
+
+    /// Non-zeros of the factor's lower trapezoids: the exact fill of `L`
+    /// under this analysis's ordering plus amalgamation padding.
+    pub fn factor_nnz(&self) -> usize {
+        self.factor_nnz
+    }
+
+    fn width(&self, s: usize) -> usize {
+        self.sn_ptr[s + 1] - self.sn_ptr[s]
+    }
+
+    fn srows(&self, s: usize) -> &[usize] {
+        &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]]
+    }
+}
+
+/// The first pass of an analysis: the matrix under its fill ordering with
+/// the elimination tree postordered, and the factor's exact column counts.
+/// [`SymbolicCholesky::analyze`] reads AMD's predicted fill off it before
+/// deciding whether to finish it.
+struct EliminationStructure {
+    /// Composed permutation (fill ordering ∘ etree postorder), `perm[new] = old`.
+    perm: Vec<usize>,
+    /// The matrix permuted by `perm`.
+    ap: CsrMatrix,
+    /// Elimination tree of `ap`; its numbering is a postorder.
+    parent: Vec<usize>,
+    /// Column counts of L (diagonal included).
+    counts: Vec<usize>,
+}
+
+impl EliminationStructure {
+    /// Orders `a` by the fill permutation `p0` (`p0[new] = old`), then
+    /// postorders the elimination tree so supernodes become contiguous
+    /// column runs, folding the postorder into the permutation.
+    fn new(a: &CsrMatrix, p0: Vec<usize>) -> EliminationStructure {
+        debug_assert_eq!(p0.len(), a.n_rows());
         let a0 = a.permute_symmetric(&p0);
         let post = postorder(&elimination_tree(&a0));
+        drop(a0);
         let perm: Vec<usize> = post.iter().map(|&j| p0[j]).collect();
         let ap = a.permute_symmetric(&perm);
         let parent = elimination_tree(&ap);
+        let counts = column_counts(&ap, &parent);
+        EliminationStructure { perm, ap, parent, counts }
+    }
 
-        // Symbolic pass 1: column counts of L (diagonal included).
-        let mut counts = vec![1usize; n];
-        {
-            let mut walker = EtreeWalker::new(n);
-            let mut reach = Vec::new();
-            for k in 0..n {
-                walker.reach_into(&ap, k, &parent, &mut reach);
-                for &j in &reach {
-                    counts[j] += 1;
-                }
-            }
-        }
+    /// The rest of the analysis: supernode partition, row structure and
+    /// panel layout.
+    fn into_symbolic(self, ordering: FillOrdering) -> SymbolicCholesky {
+        let EliminationStructure { perm, ap, parent, counts } = self;
+        let n = ap.n_rows();
 
         // Fundamental supernodes: column j extends the run of j-1 when it
         // is j-1's parent and loses exactly the one row — capped at
@@ -238,8 +290,10 @@ impl SymbolicCholesky {
             fund_of_col[c0..c1].fill(s);
         }
 
-        // Symbolic pass 2: exact row structure per fundamental supernode
-        // (the first column's pattern, which covers every member column's).
+        // Symbolic pass 2 (the column counts were pass 1): exact row
+        // structure per fundamental supernode (the first column's pattern,
+        // which covers every member column's), by one etree reach walk per
+        // row of L — the one place the analysis lists L's rows.
         let mut fund_rows_ptr = vec![0usize; n_fund + 1];
         for (s, &c0) in first_col.iter().enumerate() {
             fund_rows_ptr[s + 1] = fund_rows_ptr[s] + counts[c0];
@@ -355,7 +409,7 @@ impl SymbolicCholesky {
         // entry is n exactly when every column was assigned.
         debug_assert_eq!(sn_ptr.last().copied(), Some(n));
 
-        Ok(SymbolicCholesky {
+        SymbolicCholesky {
             n,
             perm,
             ordering,
@@ -367,49 +421,7 @@ impl SymbolicCholesky {
             factor_nnz,
             max_height,
             selection: None,
-        })
-    }
-
-    /// Dimension of the analyzed system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// The fill ordering this analysis applied.
-    pub fn ordering(&self) -> FillOrdering {
-        self.ordering
-    }
-
-    /// The RCM-vs-AMD comparison behind an auto-selected ordering, or
-    /// `None` when the caller fixed the ordering via
-    /// [`SymbolicCholesky::analyze_with`].
-    pub fn selection(&self) -> Option<OrderingSelection> {
-        self.selection
-    }
-
-    /// Number of supernodes.
-    pub fn n_supernodes(&self) -> usize {
-        self.sn_ptr.len() - 1
-    }
-
-    /// Stored panel entries (dense rectangles; the allocation of one
-    /// numeric factorization).
-    pub fn panel_nnz(&self) -> usize {
-        *self.panel_ptr.last().unwrap_or(&0)
-    }
-
-    /// Non-zeros of the factor's lower trapezoids: the exact fill of `L`
-    /// under this analysis's ordering plus amalgamation padding.
-    pub fn factor_nnz(&self) -> usize {
-        self.factor_nnz
-    }
-
-    fn width(&self, s: usize) -> usize {
-        self.sn_ptr[s + 1] - self.sn_ptr[s]
-    }
-
-    fn srows(&self, s: usize) -> &[usize] {
-        &self.rows[self.rows_ptr[s]..self.rows_ptr[s + 1]]
+        }
     }
 }
 
@@ -538,23 +550,30 @@ impl SupernodalCholesky {
     /// block instead of once per vector, and per-vector operations run in
     /// the same order at any `k`, so each vector's result is bitwise
     /// identical to a separate [`SupernodalCholesky::solve_in_place`].
-    /// Unlike the lockstep CG kernels, `k` is a runtime width with no upper
-    /// bound: [`SupernodalCholesky::solve_sweep`] runs blocks of
-    /// [`SWEEP_BLOCK`] vectors through it.
+    ///
+    /// `k` ranges over `1..=`[`SWEEP_BLOCK`]: one substitution body is
+    /// instantiated for every width in that range, so each vector's block
+    /// stays in registers. Wider calls are rejected, not split; callers
+    /// with more vectors use [`SupernodalCholesky::solve_sweep`], which
+    /// runs them [`SWEEP_BLOCK`] at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `x.len() != dim() * k`.
+    /// Panics if `k` is outside `1..=`[`SWEEP_BLOCK`] or
+    /// `x.len() != dim() * k`.
     pub fn solve_multi_in_place(&self, x: &mut [f64], k: usize) {
-        assert!(k > 0, "solve_multi: k must be positive");
         assert_eq!(x.len(), self.sym.n * k, "solve_multi: length mismatch");
         let mut xp = vec![0.0; x.len()];
         for (new, &old) in self.sym.perm.iter().enumerate() {
-            xp[new * k..new * k + k].copy_from_slice(&x[old * k..old * k + k]);
+            for t in 0..k {
+                xp[new * k + t] = x[old * k + t];
+            }
         }
-        self.solve_permuted_multi(&mut xp, k);
+        self.solve_permuted(&mut xp, k);
         for (new, &old) in self.sym.perm.iter().enumerate() {
-            x[old * k..old * k + k].copy_from_slice(&xp[new * k..new * k + k]);
+            for t in 0..k {
+                x[old * k + t] = xp[new * k + t];
+            }
         }
     }
 
@@ -614,7 +633,7 @@ impl SupernodalCholesky {
                 xp[new * k + t] = chunk[old];
             }
         }
-        self.solve_permuted_multi(&mut xp, k);
+        self.solve_permuted(&mut xp, k);
         for (new, &old) in self.sym.perm.iter().enumerate() {
             for (t, chunk) in block.chunks_mut(n).enumerate() {
                 chunk[old] = xp[new * k + t];
@@ -622,100 +641,123 @@ impl SupernodalCholesky {
         }
     }
 
-    /// Blocked forward + backward substitution in the permuted numbering.
-    /// Per vector `t`, the operation order is independent of `k`.
-    fn solve_permuted_multi(&self, xp: &mut [f64], k: usize) {
+    /// Forward + backward substitution of `k` interleaved right-hand sides
+    /// in the permuted numbering, through the body instantiated for `k`.
+    fn solve_permuted(&self, xp: &mut [f64], k: usize) {
+        match k {
+            1 => self.solve_permuted_fixed::<1>(xp),
+            2 => self.solve_permuted_fixed::<2>(xp),
+            3 => self.solve_permuted_fixed::<3>(xp),
+            4 => self.solve_permuted_fixed::<4>(xp),
+            5 => self.solve_permuted_fixed::<5>(xp),
+            6 => self.solve_permuted_fixed::<6>(xp),
+            7 => self.solve_permuted_fixed::<7>(xp),
+            8 => self.solve_permuted_fixed::<8>(xp),
+            9 => self.solve_permuted_fixed::<9>(xp),
+            10 => self.solve_permuted_fixed::<10>(xp),
+            11 => self.solve_permuted_fixed::<11>(xp),
+            12 => self.solve_permuted_fixed::<12>(xp),
+            13 => self.solve_permuted_fixed::<13>(xp),
+            14 => self.solve_permuted_fixed::<14>(xp),
+            15 => self.solve_permuted_fixed::<15>(xp),
+            16 => self.solve_permuted_fixed::<16>(xp),
+            _ => panic!("solve_multi: width {k} outside 1..={SWEEP_BLOCK}"),
+        }
+    }
+
+    /// Blocked forward + backward substitution with the block width fixed
+    /// at compile time, so each vector's `[f64; K]` entry stays in
+    /// registers across a panel column. Per vector, the operation order is
+    /// independent of `K`.
+    fn solve_permuted_fixed<const K: usize>(&self, xp: &mut [f64]) {
         let sym = &*self.sym;
-        let ns = sym.n_supernodes();
-        let mut yb = vec![0.0; MAX_SUPERNODE_WIDTH * k];
-        let mut zb = vec![0.0; sym.max_height * k];
+        let entry = |x: &[f64], r: usize| -> [f64; K] {
+            x[r * K..(r + 1) * K].try_into().expect("K-wide block")
+        };
+        let mut yb = [[0.0f64; K]; MAX_SUPERNODE_WIDTH];
+        let mut zb = vec![[0.0f64; K]; sym.max_height];
 
         // Forward: L Y = B, one panel at a time.
-        for s in 0..ns {
+        for s in 0..sym.n_supernodes() {
             let c0 = sym.sn_ptr[s];
             let w = sym.width(s);
             let srows = sym.srows(s);
             let h = srows.len();
-            let hb = h - w;
             let p = &self.values[sym.panel_ptr[s]..sym.panel_ptr[s + 1]];
-            let yb = &mut yb[..w * k];
-            yb.copy_from_slice(&xp[c0 * k..(c0 + w) * k]);
+            let yb = &mut yb[..w];
+            for (l, y) in yb.iter_mut().enumerate() {
+                *y = entry(xp, c0 + l);
+            }
             // Dense lower-triangular solve on the diagonal block.
             for l in 0..w {
                 let d = p[l * h + l];
-                let (yl, ytail) = yb[l * k..].split_at_mut(k);
+                let (head, tail) = yb.split_at_mut(l + 1);
+                let yl = &mut head[l];
                 for v in yl.iter_mut() {
                     *v /= d;
                 }
-                for i in l + 1..w {
-                    let coeff = p[l * h + i];
-                    let yi = &mut ytail[(i - l - 1) * k..(i - l) * k];
+                for (yi, &coeff) in tail.iter_mut().zip(&p[l * h + l + 1..l * h + w]) {
                     for (v, &yv) in yi.iter_mut().zip(yl.iter()) {
                         *v -= coeff * yv;
                     }
                 }
             }
-            xp[c0 * k..(c0 + w) * k].copy_from_slice(yb);
+            xp[c0 * K..(c0 + w) * K].copy_from_slice(yb.as_flattened());
             // Below-diagonal update: z = L21 y, scattered into xp.
-            if hb > 0 {
-                let zb = &mut zb[..hb * k];
-                zb.fill(0.0);
-                for l in 0..w {
-                    let yl = &yb[l * k..(l + 1) * k];
-                    let col = &p[l * h + w..(l + 1) * h];
-                    for (zi, &coeff) in zb.chunks_mut(k).zip(col) {
+            if h > w {
+                let zb = &mut zb[..h - w];
+                zb.fill([0.0; K]);
+                for (l, yl) in yb.iter().enumerate() {
+                    for (zi, &coeff) in zb.iter_mut().zip(&p[l * h + w..(l + 1) * h]) {
                         for (z, &yv) in zi.iter_mut().zip(yl) {
                             *z += coeff * yv;
                         }
                     }
                 }
-                for (zi, &r) in zb.chunks(k).zip(&srows[w..]) {
-                    let xr = &mut xp[r * k..(r + 1) * k];
-                    for (x, &z) in xr.iter_mut().zip(zi) {
+                for (zi, &r) in zb.iter().zip(&srows[w..]) {
+                    for (x, &z) in xp[r * K..(r + 1) * K].iter_mut().zip(zi) {
                         *x -= z;
                     }
                 }
             }
         }
 
-        // Backward: Lᵀ Z = Y, panels in reverse.
-        for s in (0..ns).rev() {
+        // Backward: Lᵀ Z = Y, panels in reverse. Column `l` takes its
+        // L21ᵀ z terms, then its L11ᵀ terms from the columns after it
+        // (already solved), then its pivot.
+        for s in (0..sym.n_supernodes()).rev() {
             let c0 = sym.sn_ptr[s];
             let w = sym.width(s);
             let srows = sym.srows(s);
             let h = srows.len();
-            let hb = h - w;
             let p = &self.values[sym.panel_ptr[s]..sym.panel_ptr[s + 1]];
-            if hb > 0 {
-                let zb = &mut zb[..hb * k];
-                for (zi, &r) in zb.chunks_mut(k).zip(&srows[w..]) {
-                    zi.copy_from_slice(&xp[r * k..(r + 1) * k]);
-                }
-                // y -= L21ᵀ z.
-                for l in 0..w {
-                    let col = &p[l * h + w..(l + 1) * h];
-                    let xl = &mut xp[(c0 + l) * k..(c0 + l + 1) * k];
-                    for (zi, &coeff) in zb.chunks(k).zip(col) {
-                        for (x, &z) in xl.iter_mut().zip(zi) {
-                            *x -= coeff * z;
-                        }
+            let zb = &mut zb[..h - w];
+            for (zi, &r) in zb.iter_mut().zip(&srows[w..]) {
+                *zi = entry(xp, r);
+            }
+            let yb = &mut yb[..w];
+            for (l, y) in yb.iter_mut().enumerate() {
+                *y = entry(xp, c0 + l);
+            }
+            for l in (0..w).rev() {
+                let mut acc = yb[l];
+                for (zi, &coeff) in zb.iter().zip(&p[l * h + w..(l + 1) * h]) {
+                    for (v, &z) in acc.iter_mut().zip(zi) {
+                        *v -= coeff * z;
                     }
                 }
-            }
-            // Dense upper-triangular solve with L11ᵀ.
-            for l in (0..w).rev() {
-                for i in l + 1..w {
-                    let coeff = p[l * h + i];
-                    for t in 0..k {
-                        let xi = xp[(c0 + i) * k + t];
-                        xp[(c0 + l) * k + t] -= coeff * xi;
+                for (yi, &coeff) in yb[l + 1..].iter().zip(&p[l * h + l + 1..l * h + w]) {
+                    for (v, &y) in acc.iter_mut().zip(yi) {
+                        *v -= coeff * y;
                     }
                 }
                 let d = p[l * h + l];
-                for t in 0..k {
-                    xp[(c0 + l) * k + t] /= d;
+                for v in acc.iter_mut() {
+                    *v /= d;
                 }
+                yb[l] = acc;
             }
+            xp[c0 * K..(c0 + w) * K].copy_from_slice(yb.as_flattened());
         }
     }
 }
@@ -991,21 +1033,93 @@ impl EtreeWalker {
     }
 }
 
+/// Column counts of the Cholesky factor of the symmetric matrix `a`
+/// (diagonal included), given its elimination tree `parent`.
+///
+/// Gilbert–Ng–Peyton row-subtree counting (Davis, *Direct Methods for
+/// Sparse Linear Systems*, §4.5): row `i` of `L` is the subtree of the
+/// etree spanned by the leaves `j < i` with `a[i][j] ≠ 0`. Walking the
+/// columns in postorder, each such leaf adds one to its column's count and
+/// takes one away at the least common ancestor it shares with row `i`'s
+/// previous leaf, found by a path-compressed union-find over the visited
+/// part of the tree. Summing these differences up the tree gives the exact
+/// counts in O(nnz(A)·α) time without forming a single row of `L`.
+fn column_counts(a: &CsrMatrix, parent: &[usize]) -> Vec<usize> {
+    const NONE: usize = usize::MAX;
+    let n = parent.len();
+    let post = postorder(parent);
+    // first[j]: postorder index of j's first descendant. A column seen for
+    // the first time is a leaf and starts its count at one.
+    let mut first = vec![NONE; n];
+    let mut delta = vec![0isize; n];
+    for (k, &j) in post.iter().enumerate() {
+        if first[j] == NONE {
+            delta[j] = 1;
+        }
+        let mut q = j;
+        while q != NONE && first[q] == NONE {
+            first[q] = k;
+            q = parent[q];
+        }
+    }
+    // Per row i: one past the largest `first` of a leaf already counted
+    // (0: none yet), and that leaf.
+    let mut max_first = vec![0usize; n];
+    let mut prev_leaf = vec![NONE; n];
+    let mut ancestor: Vec<usize> = (0..n).collect();
+    for &j in &post {
+        if parent[j] != NONE {
+            delta[parent[j]] -= 1;
+        }
+        let (cols, _) = a.row(j);
+        for &i in cols.iter().filter(|&&i| i > j) {
+            // j is a leaf of row i's subtree only if none of its
+            // descendants already put an entry in row i.
+            if first[j] < max_first[i] {
+                continue;
+            }
+            max_first[i] = first[j] + 1;
+            let jprev = std::mem::replace(&mut prev_leaf[i], j);
+            delta[j] += 1;
+            if jprev != NONE {
+                // Row i's subtree already holds the path from jprev up;
+                // the two paths merge at their least common ancestor q.
+                let mut q = jprev;
+                while q != ancestor[q] {
+                    q = ancestor[q];
+                }
+                let mut s = jprev;
+                while s != q {
+                    let next = ancestor[s];
+                    ancestor[s] = q;
+                    s = next;
+                }
+                delta[q] -= 1;
+            }
+        }
+        if parent[j] != NONE {
+            ancestor[j] = parent[j];
+        }
+    }
+    // Children precede their parents (parent[j] > j), so one ascending
+    // pass sums every subtree.
+    for j in 0..n {
+        if parent[j] != NONE {
+            delta[parent[j]] += delta[j];
+        }
+    }
+    delta
+        .into_iter()
+        .map(|d| usize::try_from(d).expect("column counts are positive"))
+        .collect()
+}
+
 /// Predicted factor fill (nnz of `L`, diagonal included) for `a` under
 /// `perm` — the symbolic quantity [`SymbolicCholesky::analyze`] compares
 /// across candidate orderings.
 pub fn predicted_factor_nnz(a: &CsrMatrix, perm: &[usize]) -> usize {
     let ap = a.permute_symmetric(perm);
-    let n = ap.n_rows();
-    let parent = elimination_tree(&ap);
-    let mut walker = EtreeWalker::new(n);
-    let mut reach = Vec::new();
-    let mut nnz = n; // diagonal
-    for k in 0..n {
-        walker.reach_into(&ap, k, &parent, &mut reach);
-        nnz += reach.len();
-    }
-    nnz
+    column_counts(&ap, &elimination_tree(&ap)).iter().sum()
 }
 
 #[cfg(test)]
@@ -1036,12 +1150,18 @@ mod tests {
     }
 
     fn random_spd(n: usize, seed: u64) -> CsrMatrix {
+        random_spd_with_density(n, 0.3, seed)
+    }
+
+    /// Random diagonally dominant M-matrix whose off-diagonal pairs are
+    /// present with probability `density`.
+    fn random_spd_with_density(n: usize, density: f64, seed: u64) -> CsrMatrix {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut coo = CooMatrix::new(n, n);
         let mut row_sums = vec![0.0; n];
         for i in 0..n {
             for j in (i + 1)..n {
-                if rng.gen_bool(0.3) {
+                if rng.gen_bool(density) {
                     let g = rng.gen_range(0.1..2.0);
                     coo.push(i, j, -g);
                     coo.push(j, i, -g);
@@ -1061,6 +1181,45 @@ mod tests {
         let rows = a.to_dense();
         let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         DenseMatrix::from_rows(&rows).cholesky().expect("spd").solve(b)
+    }
+
+    /// A grid Laplacian with its node numbering shuffled, so orderings
+    /// see an arbitrary input order.
+    fn shuffled_grid(rows: usize, cols: usize, seed: u64) -> CsrMatrix {
+        let g = grid_laplacian(rows, cols, 0.6);
+        let n = g.n_rows();
+        let mut shuffle: Vec<usize> = (0..n).collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for i in (1..n).rev() {
+            shuffle.swap(i, rng.gen_range(0..i + 1));
+        }
+        g.permute_symmetric(&shuffle)
+    }
+
+    /// Oracle for [`column_counts`]: one elimination-tree reach walk per
+    /// row of `L`, O(nnz(L)).
+    fn reach_column_counts(a: &CsrMatrix) -> Vec<usize> {
+        let n = a.n_rows();
+        let parent = elimination_tree(a);
+        let mut counts = vec![1usize; n];
+        let mut walker = EtreeWalker::new(n);
+        let mut reach = Vec::new();
+        for k in 0..n {
+            walker.reach_into(a, k, &parent, &mut reach);
+            for &j in &reach {
+                counts[j] += 1;
+            }
+        }
+        counts
+    }
+
+    /// The three orderings `analyze_with` offers, as permutations of `a`.
+    fn all_orderings(a: &CsrMatrix) -> [(FillOrdering, Vec<usize>); 3] {
+        [
+            (FillOrdering::Natural, (0..a.n_rows()).collect()),
+            (FillOrdering::Rcm, reverse_cuthill_mckee(a)),
+            (FillOrdering::Amd, amd(a)),
+        ]
     }
 
     #[test]
@@ -1156,10 +1315,19 @@ mod tests {
     #[test]
     fn multi_rhs_is_bitwise_identical_to_single_solves() {
         use crate::vecops::{deinterleave_into, interleave};
-        let a = grid_laplacian(7, 6, 0.4);
+        // An AMD-ordered grid this size holds panels several columns wide
+        // with rows below the diagonal, so every loop of every width's
+        // substitution body runs.
+        let a = grid_laplacian(12, 11, 0.4);
         let n = a.n_rows();
         let chol = SupernodalCholesky::factor(&a).unwrap();
-        for k in [1usize, 2, 4, 7, 16] {
+        let sym = chol.symbolic();
+        assert_eq!(sym.ordering(), FillOrdering::Amd);
+        assert!(
+            (0..sym.n_supernodes()).any(|s| sym.width(s) >= 4 && sym.srows(s).len() > sym.width(s)),
+            "no supernode is both wide and tall"
+        );
+        for k in 1..=SWEEP_BLOCK {
             let rhs: Vec<Vec<f64>> = (0..k)
                 .map(|t| {
                     (0..n).map(|i| ((i * (t + 2)) % 9) as f64 - 4.0 + t as f64 * 0.5).collect()
@@ -1176,6 +1344,22 @@ mod tests {
                 assert_eq!(&col, expected, "k={k}: vector {t} differs (bitwise)");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "width 0 outside 1..=16")]
+    fn multi_rhs_rejects_width_zero() {
+        let chol = SupernodalCholesky::factor(&grid_laplacian(3, 3, 0.5)).unwrap();
+        chol.solve_multi_in_place(&mut [], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width 17 outside 1..=16")]
+    fn multi_rhs_rejects_widths_above_the_sweep_block() {
+        let a = grid_laplacian(3, 3, 0.5);
+        let chol = SupernodalCholesky::factor(&a).unwrap();
+        let mut x = vec![1.0; a.n_rows() * (SWEEP_BLOCK + 1)];
+        chol.solve_multi_in_place(&mut x, SWEEP_BLOCK + 1);
     }
 
     #[test]
@@ -1268,16 +1452,54 @@ mod tests {
         matrices.extend((0..6).map(|seed| random_spd(12 + 9 * seed as usize, seed)));
         for a in &matrices {
             let n = a.n_rows();
-            let orders = [
-                ("natural", (0..n).collect::<Vec<_>>()),
-                ("rcm", reverse_cuthill_mckee(a)),
-                ("amd", amd(a)),
-            ];
-            for (name, perm) in &orders {
-                let exact = dense_elimination(a, Some(perm));
-                assert_eq!(predicted_factor_nnz(a, perm), exact, "{name} on n = {n}");
+            for (ordering, perm) in all_orderings(a) {
+                let exact = dense_elimination(a, Some(&perm));
+                assert_eq!(predicted_factor_nnz(a, &perm), exact, "{ordering:?} on n = {n}");
             }
         }
+    }
+
+    /// Auto analysis must be the fixed-ordering analysis of its winner,
+    /// and both predicted fills must be the exact ones.
+    fn assert_auto_analysis_is_the_winners(a: &CsrMatrix) -> FillOrdering {
+        let auto = SymbolicCholesky::analyze(a).unwrap();
+        let sel = auto.selection().expect("auto analysis records its comparison");
+        let fixed = SymbolicCholesky::analyze_with(a, sel.ordering).unwrap();
+        assert_eq!(auto.ordering(), sel.ordering);
+        assert_eq!(auto.perm, fixed.perm);
+        assert_eq!(auto.n_supernodes(), fixed.n_supernodes());
+        assert_eq!(auto.factor_nnz(), fixed.factor_nnz());
+        assert_eq!(auto.panel_nnz(), fixed.panel_nnz());
+        assert_eq!(sel.amd_nnz, predicted_factor_nnz(a, &amd(a)));
+        let oracle = |perm: &[usize]| -> usize {
+            reach_column_counts(&a.permute_symmetric(perm)).iter().sum()
+        };
+        assert_eq!(sel.amd_nnz, oracle(&amd(a)));
+        assert_eq!(sel.rcm_nnz, oracle(&reverse_cuthill_mckee(a)));
+        sel.ordering
+    }
+
+    #[test]
+    fn auto_analysis_equals_the_fixed_analysis_of_its_winner() {
+        let mut winners = Vec::new();
+        for seed in 0..12u64 {
+            let n = 10 + 6 * seed as usize;
+            let density = [0.02, 0.08, 0.3][seed as usize % 3];
+            winners.push(assert_auto_analysis_is_the_winners(&random_spd_with_density(
+                n, density, seed,
+            )));
+        }
+        winners.push(assert_auto_analysis_is_the_winners(&grid_laplacian(13, 9, 0.5)));
+        winners.push(assert_auto_analysis_is_the_winners(&shuffled_grid(9, 8, 3)));
+        // Patterns found by search on which RCM predicts less fill than
+        // AMD, so the branch that analyzes RCM afresh runs too.
+        for (n, density, seed) in [(12, 0.6, 247), (24, 0.08, 739), (54, 0.03, 889)] {
+            winners.push(assert_auto_analysis_is_the_winners(&random_spd_with_density(
+                n, density, seed,
+            )));
+        }
+        assert!(winners.contains(&FillOrdering::Amd), "{winners:?}");
+        assert!(winners.contains(&FillOrdering::Rcm), "{winners:?}");
     }
 
     proptest! {
@@ -1288,17 +1510,10 @@ mod tests {
             cols in 2usize..9,
             seed in 0u64..100,
         ) {
-            // Shuffle the grid's node numbering so AMD sees an arbitrary
-            // input order, then check the supernodal factor under
-            // FillOrdering::Amd against the dense reference.
-            let g = grid_laplacian(rows, cols, 0.6);
-            let n = g.n_rows();
-            let mut shuffle: Vec<usize> = (0..n).collect();
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            for i in (1..n).rev() {
-                shuffle.swap(i, rng.gen_range(0..i + 1));
-            }
-            let a = g.permute_symmetric(&shuffle);
+            // AMD sees an arbitrary input order; check the supernodal
+            // factor under FillOrdering::Amd against the dense reference.
+            let a = shuffled_grid(rows, cols, seed);
+            let n = a.n_rows();
             let sym = Arc::new(SymbolicCholesky::analyze_with(&a, FillOrdering::Amd).unwrap());
             prop_assert_eq!(sym.ordering(), FillOrdering::Amd);
             let chol = SupernodalCholesky::factor_with(sym, &a).unwrap();
@@ -1307,6 +1522,31 @@ mod tests {
             let got = chol.solve(&b);
             for (g, e) in got.iter().zip(&expect) {
                 prop_assert!((g - e).abs() < 1e-10, "{} vs {}", g, e);
+            }
+        }
+
+        #[test]
+        fn column_counts_match_the_reach_walk(
+            n in 1usize..60,
+            density in 0.01f64..0.35,
+            rows in 1usize..10,
+            cols in 1usize..10,
+            seed in 0u64..1000,
+        ) {
+            // Random SPD patterns (forests included at low density) and
+            // shuffled grids, each under every ordering `analyze` can use.
+            for a in [random_spd_with_density(n, density, seed), shuffled_grid(rows, cols, seed)] {
+                for (ordering, perm) in all_orderings(&a) {
+                    let ap = a.permute_symmetric(&perm);
+                    let counts = column_counts(&ap, &elimination_tree(&ap));
+                    prop_assert_eq!(
+                        counts,
+                        reach_column_counts(&ap),
+                        "{:?} on n = {}",
+                        ordering,
+                        ap.n_rows()
+                    );
+                }
             }
         }
 

@@ -123,6 +123,11 @@ for t in 2 3; do
         || { echo "thread determinism: factor sweep differs between widths 1 and $t"; exit 1; }
 done
 echo "thread determinism: factor sweep digest identical at widths 1, 2 and 3"
+# Pinned bits: a faster substitution or fill count must not move a digit of
+# the swept solutions.
+grep -q '^digest  : c01c321e2824d50c ' "$cache_dir/factor_digest1" \
+    || { echo "factor pin: digest moved from c01c321e2824d50c"; cat "$cache_dir/factor_digest1"; exit 1; }
+echo "factor pin: D1 tiny --rhs 40 digest is c01c321e2824d50c"
 
 echo
 echo "== amd ordering smoke =="
@@ -140,6 +145,12 @@ auto_out="$(./target/release/pdn factor --design D1 --rhs 4 --telemetry "$amd_t"
     || { echo "amd smoke: auto factor failed"; exit 1; }
 grep -q 'compare : predicted nnz(L) rcm .* vs amd .* -> amd' <<<"$auto_out" \
     || { echo "amd smoke: auto run did not print the ordering comparison"; echo "$auto_out"; exit 1; }
+# Pinned counts: both predicted fills are exact, and the analysis AMD wins
+# with is the one it always was.
+grep -q 'rcm 13089 vs amd 4854' <<<"$auto_out" \
+    || { echo "amd smoke: predicted fills moved from rcm 13089 / amd 4854"; echo "$auto_out"; exit 1; }
+grep -q '124 supernodes, nnz(L) 8119' <<<"$auto_out" \
+    || { echo "amd smoke: analysis moved from 124 supernodes / nnz(L) 8119"; echo "$auto_out"; exit 1; }
 grep -q '"name":"factor.ordering","value":3' "$amd_t" \
     || { echo "amd smoke: factor.ordering gauge missing or not amd"; exit 1; }
 grep -q '"name":"factor.predicted_nnz_l.rcm"' "$amd_t" \
@@ -147,6 +158,33 @@ grep -q '"name":"factor.predicted_nnz_l.rcm"' "$amd_t" \
 grep -q '"name":"factor.predicted_nnz_l.amd"' "$amd_t" \
     || { echo "amd smoke: amd predicted-fill gauge missing"; exit 1; }
 echo "amd ordering: forced leg ok, auto-compare picked amd and exported both fills"
+
+echo
+echo "== closed stdout =="
+# A reader that stops early must end pdn quietly: no panic on the failed
+# write, and exit status 141 (128 + SIGPIPE). Under `| head -1` pdn may
+# still finish first (its lines fit the pipe), so that leg accepts 0 too;
+# the second leg closes the pipe before pdn starts.
+pipe_status=0
+first="$(./target/release/pdn factor --design D1 --scale tiny --rhs 40 \
+    2>"$cache_dir/pipe.err" | head -1)" || pipe_status=$?
+if grep -q panicked "$cache_dir/pipe.err"; then
+    echo "closed stdout: pdn factor | head -1 panicked"; cat "$cache_dir/pipe.err"; exit 1
+fi
+[[ "$first" == design* && ( $pipe_status == 0 || $pipe_status == 141 ) ]] \
+    || { echo "closed stdout: got '$first', exit $pipe_status"; cat "$cache_dir/pipe.err"; exit 1; }
+python3 - <<'PYEOF'
+import os, subprocess
+for args in (["info"], ["factor", "--rhs", "40"], ["simulate", "--steps", "20"]):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    cmd = ["./target/release/pdn", *args, "--design", "D1", "--scale", "tiny"]
+    p = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    assert p.returncode == 141 and not p.stderr, (
+        f"closed stdout: pdn {args[0]} exited {p.returncode}, stderr {p.stderr.decode()!r}")
+print("closed stdout: info, factor and simulate exit 141 without a word on stderr")
+PYEOF
 
 echo
 echo "== unknown CLI flags =="

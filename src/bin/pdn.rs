@@ -27,10 +27,50 @@ use pdn_wnv::sim::wnv::WnvRunner;
 use pdn_wnv::sim::{SolverKind, WnvCache};
 use pdn_wnv::vectors::generator::{GeneratorConfig, VectorGenerator};
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+/// `print!` that returns an error instead of panicking when stdout cannot
+/// be written, so a command ends through `?`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(stdout_error)
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)
+    };
+}
+
+/// Exit status when stdout's reader goes away (`pdn ... | head`): 128 +
+/// SIGPIPE, the status a shell reports for a program that SIGPIPE ended.
+const CLOSED_STDOUT_STATUS: u8 = 141;
+
+/// Stdout's reader went away; `main` ends the command quietly.
+#[derive(Debug)]
+struct ClosedStdout;
+
+impl std::fmt::Display for ClosedStdout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("stdout closed")
+    }
+}
+
+impl std::error::Error for ClosedStdout {}
+
+fn stdout_error(e: std::io::Error) -> Box<dyn std::error::Error> {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        Box::new(ClosedStdout)
+    } else {
+        format!("writing to stdout: {e}").into()
+    }
+}
 
 fn main() -> ExitCode {
     telemetry::init_from_env();
@@ -43,6 +83,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.is::<ClosedStdout>() => ExitCode::from(CLOSED_STDOUT_STATUS),
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
@@ -91,8 +132,9 @@ phase's wall clock and a digest of the swept solutions; use `--scale full`
 for a paper-D1-class feasibility run. PDN_THREADS fans the sweep's RHS
 blocks across threads; the digest is the same at any width.
 
-every command rejects a flag not listed for it above; every command
-except report also accepts:
+every command rejects a flag not listed for it above, and stops quietly
+with exit status 141 when its stdout closes early (`pdn ... | head`);
+every command except report also accepts:
   --telemetry FILE.jsonl   record per-stage timing, trace spans, solver and
                            training metrics to FILE.jsonl and print a summary
                            table (PDN_TELEMETRY=<path|1> does the same from
@@ -205,7 +247,8 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
         telemetry::write_summary_records();
         telemetry::flush();
-        println!("\n{}", telemetry::summary());
+        // The command's own error, if any, outranks a failed summary.
+        return result.and(outln!("\n{}", telemetry::summary()));
     }
     result
 }
@@ -284,14 +327,14 @@ fn report_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         Some(path) => {
             pdn_core::fsio::atomic_write(Path::new(path), out.markdown.as_bytes())
                 .map_err(|e| format!("--out {path}: {e}"))?;
-            println!("report written to {path}");
+            outln!("report written to {path}")?;
         }
-        None => print!("{}", out.markdown),
+        None => out!("{}", out.markdown)?,
     }
     if let Some(path) = flags.get("trace") {
         pdn_core::fsio::atomic_write(Path::new(path), run.chrome_trace().as_bytes())
             .map_err(|e| format!("--trace {path}: {e}"))?;
-        println!("Perfetto trace written to {path} (open at https://ui.perfetto.dev)");
+        outln!("Perfetto trace written to {path} (open at https://ui.perfetto.dev)")?;
     }
     if !out.regressions.is_empty() {
         for r in &out.regressions {
@@ -409,12 +452,12 @@ fn cache_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     match verb.as_str() {
         "stats" => {
             let s = cache.stats()?;
-            println!("cache dir : {}", cache.dir().display());
-            println!("entries   : {}", s.entries);
-            println!("size      : {:.2} MiB", mib(s.total_bytes));
+            outln!("cache dir : {}", cache.dir().display())?;
+            outln!("entries   : {}", s.entries)?;
+            outln!("size      : {:.2} MiB", mib(s.total_bytes))?;
             if let (Some(oldest), Some(newest)) = (s.oldest_age, s.newest_age) {
-                println!("oldest    : {}", human_age(oldest));
-                println!("newest    : {}", human_age(newest));
+                outln!("oldest    : {}", human_age(oldest))?;
+                outln!("newest    : {}", human_age(newest))?;
             }
             Ok(())
         }
@@ -427,14 +470,14 @@ fn cache_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let max_bytes = max_mb.map(|mb| (mb.max(0.0) * 1024.0 * 1024.0) as u64);
             let max_age = max_days.map(|d| Duration::from_secs_f64(d.max(0.0) * 86_400.0));
             let r = cache.gc(max_bytes, max_age)?;
-            println!(
+            outln!(
                 "evicted {} entries ({:.2} MiB); {} entries ({:.2} MiB) remain in {}",
                 r.removed,
                 mib(r.freed_bytes),
                 r.kept,
                 mib(r.kept_bytes),
                 cache.dir().display()
-            );
+            )?;
             Ok(())
         }
         other => Err(format!("unknown cache subcommand `{other}` (stats|gc)").into()),
@@ -460,16 +503,16 @@ fn info(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>
     let spec = preset.spec(scale(opts)?);
     let grid = spec.build(parse(opts, "seed", 1u64)?)?;
     let tiles = spec.tile_grid();
-    println!("design   : {}", spec.name());
-    println!("die      : {:.0} x {:.0} um", spec.die_size().0, spec.die_size().1);
-    println!("layers   : {}", spec.layers().len());
-    println!("nodes    : {}", grid.node_count());
-    println!("loads    : {}", grid.loads().len());
-    println!("bumps    : {}", grid.bumps().len());
-    println!("tiles    : {} x {}", tiles.rows(), tiles.cols());
-    println!("vdd      : {}", spec.vdd());
-    println!("dt       : {:.0} ps", spec.time_step().0 * 1e12);
-    println!("hotspot  : >{:.0} mV", spec.hotspot_threshold().to_millivolts());
+    outln!("design   : {}", spec.name())?;
+    outln!("die      : {:.0} x {:.0} um", spec.die_size().0, spec.die_size().1)?;
+    outln!("layers   : {}", spec.layers().len())?;
+    outln!("nodes    : {}", grid.node_count())?;
+    outln!("loads    : {}", grid.loads().len())?;
+    outln!("bumps    : {}", grid.bumps().len())?;
+    outln!("tiles    : {} x {}", tiles.rows(), tiles.cols())?;
+    outln!("vdd      : {}", spec.vdd())?;
+    outln!("dt       : {:.0} ps", spec.time_step().0 * 1e12)?;
+    outln!("hotspot  : >{:.0} mV", spec.hotspot_threshold().to_millivolts())?;
     Ok(())
 }
 
@@ -507,26 +550,26 @@ fn simulate(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Er
     let runner = try_stage("factorize", || WnvRunner::with_solver(&grid, kind))?;
     let t0 = Instant::now();
     let report = try_stage("simulate", || runner.run(&vector))?;
-    println!(
+    outln!(
         "simulated {} steps on {} nodes in {:.2}s ({} CG iterations)",
         steps,
         grid.node_count(),
         t0.elapsed().as_secs_f64(),
         report.stats.cg_iterations
-    );
-    println!(
+    )?;
+    outln!(
         "worst-case noise: mean {:.1} mV, max {:.1} mV, hotspot ratio {:.1}%",
         report.mean_noise().to_millivolts(),
         report.max_noise.to_millivolts(),
         report.hotspot_ratio(grid.spec().hotspot_threshold()) * 100.0
-    );
-    println!("\n{}", ascii_map(&report.worst_noise, 0.0, report.worst_noise.max()));
+    )?;
+    outln!("\n{}", ascii_map(&report.worst_noise, 0.0, report.worst_noise.max()))?;
     try_stage("report", || -> Result<(), Box<dyn std::error::Error>> {
         if let Some(dir) = opts.get("out") {
             let path =
                 PathBuf::from(dir).join(format!("{}_seed{}_noise.csv", grid.spec().name(), seed));
             write_csv(&report.worst_noise, &path)?;
-            println!("noise map written to {}", path.display());
+            outln!("noise map written to {}", path.display())?;
         }
         Ok(())
     })
@@ -554,9 +597,9 @@ fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Erro
         Ok(preset.spec(scale(opts)?).build(seed)?)
     })?;
     let n = grid.node_count();
-    println!("design  : {} ({} nodes)", grid.spec().name(), n);
+    outln!("design  : {} ({} nodes)", grid.spec().name(), n)?;
     let (matrix, _, _) = try_stage("stamp", || stamp_transient_system(&grid))?;
-    println!("matrix  : {} nnz", matrix.nnz());
+    outln!("matrix  : {} nnz", matrix.nnz())?;
 
     let t0 = Instant::now();
     let sym = try_stage("analyze", || match ordering {
@@ -567,27 +610,27 @@ fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Erro
     telemetry::gauge_set("factor.nnz_l", sym.factor_nnz() as f64);
     telemetry::gauge_set("factor.panel_nnz", sym.panel_nnz() as f64);
     if let Some(sel) = sym.selection() {
-        println!(
+        outln!(
             "compare : predicted nnz(L) rcm {} vs amd {} -> {}",
             sel.rcm_nnz,
             sel.amd_nnz,
             sel.ordering.name(),
-        );
+        )?;
     }
-    println!(
+    outln!(
         "analyze : {:.2}s — ordering {}, {} supernodes, nnz(L) {} ({:.2} GiB panels)",
         t_analyze.as_secs_f64(),
         sym.ordering().name(),
         sym.n_supernodes(),
         sym.factor_nnz(),
         sym.panel_nnz() as f64 * 8.0 / (1024.0 * 1024.0 * 1024.0),
-    );
+    )?;
 
     let t1 = Instant::now();
     let chol =
         try_stage("numeric", || SupernodalCholesky::factor_with(std::sync::Arc::new(sym), &matrix))?;
     let t_numeric = t1.elapsed();
-    println!("numeric : {:.2}s", t_numeric.as_secs_f64());
+    outln!("numeric : {:.2}s", t_numeric.as_secs_f64())?;
 
     // Deterministic pseudo-load RHS sweep: unit-scale currents at varying
     // phases, so the triangular solves see realistic dense traffic.
@@ -601,23 +644,23 @@ fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Erro
     stage("sweep", || chol.solve_sweep(&mut rhs, nrhs));
     let t_sweep = t2.elapsed();
     let per_solve = t_sweep.as_secs_f64() / nrhs.max(1) as f64;
-    println!(
+    outln!(
         "sweep   : {:.2}s for {} RHS ({:.1} ms/solve, {} threads)",
         t_sweep.as_secs_f64(),
         nrhs,
         per_solve * 1e3,
         pdn_wnv::core::threads::width(),
-    );
+    )?;
     // The solutions' bits, so runs at different PDN_THREADS can be compared.
     let mut digest = pdn_wnv::core::fsio::Digest::new();
     for &x in &rhs {
         digest.update_f64(x);
     }
-    println!("digest  : {} (swept solutions)", digest.hex());
-    println!(
+    outln!("digest  : {} (swept solutions)", digest.hex())?;
+    outln!(
         "total   : {:.2}s (analyze + numeric + sweep)",
         (t_analyze + t_numeric + t_sweep).as_secs_f64()
-    );
+    )?;
     // Guard against NaNs escaping a misassembled system.
     let finite = rhs.iter().all(|x| x.is_finite());
     if !finite {
@@ -692,10 +735,10 @@ fn run_pipeline(
     let cache = cache_from_opts(opts)?;
     let checkpoints = checkpoints_from_opts(opts)?;
     if let Some(c) = &cache {
-        println!("ground-truth cache: {}", c.dir().display());
+        outln!("ground-truth cache: {}", c.dir().display())?;
     }
     if let Some(ck) = &checkpoints {
-        println!(
+        outln!(
             "training checkpoints: {} (every {} epochs{}{})",
             ck.path.display(),
             ck.every,
@@ -704,7 +747,7 @@ fn run_pipeline(
                 Some(k) => format!(", keep last {k}"),
                 None => String::new(),
             }
-        );
+        )?;
     }
     let options = EvalOptions {
         cache: cache.as_ref(),
@@ -719,16 +762,16 @@ fn train(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error
     let preset = design(opts)?;
     let out = opts.get("out").ok_or("--out MODEL is required")?;
     let config = experiment_config(opts)?;
-    println!(
+    outln!(
         "simulating {} vectors of {} steps and training for {} epochs ...",
         config.vectors, config.steps, config.train.epochs
-    );
+    )?;
     let t0 = Instant::now();
     let mut eval = run_pipeline(preset, &config, opts)?;
     let stats = pdn_wnv::eval::metrics::pooled_error_stats(&eval.test_pairs);
-    println!("done in {:.1}s; held-out accuracy: {stats}", t0.elapsed().as_secs_f64());
+    outln!("done in {:.1}s; held-out accuracy: {stats}", t0.elapsed().as_secs_f64())?;
     try_stage("save_model", || eval.predictor.save_to(out))?;
-    println!("predictor bundle written to {out}");
+    outln!("predictor bundle written to {out}")?;
     Ok(())
 }
 
@@ -738,25 +781,25 @@ fn train(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error
 fn eval_cmd(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
     let preset = design(opts)?;
     let config = experiment_config(opts)?;
-    println!(
+    outln!(
         "evaluating {} at {:?} scale: {} vectors x {} steps, {} epochs ...",
         preset.name(),
         config.scale,
         config.vectors,
         config.steps,
         config.train.epochs
-    );
+    )?;
     let t0 = Instant::now();
     let eval = run_pipeline(preset, &config, opts)?;
     let stats = pdn_wnv::eval::metrics::pooled_error_stats(&eval.test_pairs);
-    println!("done in {:.1}s", t0.elapsed().as_secs_f64());
-    println!("held-out accuracy : {stats}");
-    println!(
+    outln!("done in {:.1}s", t0.elapsed().as_secs_f64())?;
+    outln!("held-out accuracy : {stats}")?;
+    outln!(
         "runtime           : sim {:.4}s/vector, predict {:.4}s/vector, speedup {:.0}x",
         eval.prepared.sim_time_per_vector.as_secs_f64(),
         eval.predict_time_per_vector.as_secs_f64(),
         eval.speedup()
-    );
+    )?;
     Ok(())
 }
 
@@ -771,17 +814,17 @@ fn predict(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Err
     let vector = try_stage("load_vector", || load_or_generate_vector(opts, &grid))?;
     let t0 = Instant::now();
     let map = stage("predict", || predictor.predict(&grid, &vector));
-    println!(
+    outln!(
         "predicted in {:.4}s: worst droop {}",
         t0.elapsed().as_secs_f64(),
         Volts(map.max())
-    );
-    println!("\n{}", ascii_map(&map, 0.0, map.max().max(1e-9)));
+    )?;
+    outln!("\n{}", ascii_map(&map, 0.0, map.max().max(1e-9)))?;
     if let Some(dir) = opts.get("out") {
         let path =
             PathBuf::from(dir).join(format!("{}_seed{}_predicted.csv", grid.spec().name(), seed));
         write_csv(&map, &path)?;
-        println!("predicted map written to {}", path.display());
+        outln!("predicted map written to {}", path.display())?;
     }
     Ok(())
 }
@@ -838,15 +881,17 @@ fn serve_cmd(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::E
     let server = try_stage("bind", || {
         serve::serve(&cfg, &design_name, grid, predictor, runner, cache)
     })?;
-    println!("pdn serve: {design_name} listening on http://{}", server.local_addr());
+    outln!("pdn serve: {design_name} listening on http://{}", server.local_addr())?;
 
     install_shutdown_signals();
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(50));
     }
-    println!("pdn serve: signal received, shutting down");
+    // Drain the server even when stdout is gone.
+    let announced = outln!("pdn serve: signal received, shutting down");
     server.shutdown();
-    println!("pdn serve: shutdown complete");
+    announced?;
+    outln!("pdn serve: shutdown complete")?;
     Ok(())
 }
 
@@ -855,12 +900,12 @@ fn export_netlist(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::err
     let out = opts.get("out").ok_or("--out FILE.sp is required")?;
     let grid = preset.spec(scale(opts)?).build(parse(opts, "seed", 1u64)?)?;
     pdn_wnv::grid::netlist::write_spice_file(&grid, out)?;
-    println!(
+    outln!(
         "wrote SPICE deck for {} ({} nodes, {} elements) to {out}",
         grid.spec().name(),
         grid.node_count(),
         grid.resistors().len() + grid.bumps().len() * 2 + grid.loads().len()
-    );
+    )?;
     Ok(())
 }
 
@@ -873,6 +918,6 @@ fn export_vector(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::erro
     let gen = VectorGenerator::new(&grid, GeneratorConfig { steps, ..Default::default() });
     let vector = gen.generate(seed);
     pdn_wnv::vectors::io::write_csv_file(&vector, out)?;
-    println!("wrote {} x {} test vector to {out}", vector.step_count(), vector.load_count());
+    outln!("wrote {} x {} test vector to {out}", vector.step_count(), vector.load_count())?;
     Ok(())
 }
