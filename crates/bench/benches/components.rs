@@ -7,7 +7,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use pdn_bench::{bench_grid, bench_vector};
 use pdn_grid::design::DesignPreset;
 use pdn_grid::stamp;
-use pdn_nn::activation::Relu;
+use pdn_nn::activation::Activation;
 use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::deconv::ConvTranspose2d;
 use pdn_nn::layer::Layer;
@@ -218,9 +218,9 @@ fn bench_conv_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("components_conv");
     for size in [24usize, 48, 64] {
         let x = Tensor::filled(&[8, size, size], 0.5);
-        let mut conv = Conv2d::new(8, 8, 3, 1, Padding::Replication, 1);
+        let mut conv = Conv2d::new(8, 8, 3, 1, Padding::Replication, Activation::Identity, 1);
         group.bench_with_input(BenchmarkId::new("conv3x3_fwd", size), &x, |b, x| {
-            b.iter(|| conv.forward(x))
+            b.iter(|| conv.forward(x).len())
         });
         if size == 64 {
             // Before/after at the acceptance shape: the pre-overhaul
@@ -230,36 +230,24 @@ fn bench_conv_kernels(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("conv3x3_fwd_naive", size), &x, |b, x| {
                 b.iter(|| seed_conv_forward(&weight, &bias, x, 3))
             });
-            // Fused conv+ReLU against the unfused alternative on the same
-            // inference path (forward_infer, then a separate ReLU layer),
-            // so the delta isolates the fusion itself.
-            let mut relu = Relu::new();
-            let mut tmp = Tensor::zeros(&[1]);
-            group.bench_with_input(
-                BenchmarkId::new("conv3x3_relu_unfused", size),
-                &x,
-                |b, x| {
-                    b.iter(|| {
-                        conv.forward_infer(x, &mut tmp, false);
-                        relu.forward(&tmp)
-                    })
-                },
-            );
-            let mut out = Tensor::zeros(&[1]);
+            // The same weights with ReLU in the bias epilogue, as every
+            // hidden layer of the model runs.
+            let relu = Activation::Relu;
+            let mut fused = Conv2d::new(8, 8, 3, 1, Padding::Replication, relu, 1);
             group.bench_with_input(BenchmarkId::new("conv3x3_relu_fused", size), &x, |b, x| {
-                b.iter(|| conv.forward_infer(x, &mut out, true))
+                b.iter(|| fused.forward(x).len())
             });
         }
-        let y = conv.forward(&x);
+        let y = conv.forward(&x).clone();
         group.bench_with_input(BenchmarkId::new("conv3x3_bwd", size), &y, |b, y| {
             b.iter(|| conv.backward(y))
         });
         let xe = Tensor::filled(&[8, size / 2, size / 2], 0.5);
-        let mut deconv = ConvTranspose2d::new(8, 8, 4, 2, 1, 2);
+        let mut deconv = ConvTranspose2d::new(8, 8, 4, 2, 1, Activation::Identity, 2);
         group.bench_with_input(BenchmarkId::new("deconv4x4_fwd", size), &xe, |b, x| {
-            b.iter(|| deconv.forward(x))
+            b.iter(|| deconv.forward(x).len())
         });
-        let ye = deconv.forward(&xe);
+        let ye = deconv.forward(&xe).clone();
         group.bench_with_input(BenchmarkId::new("deconv4x4_bwd", size), &ye, |b, y| {
             b.iter(|| deconv.backward(y))
         });

@@ -37,6 +37,7 @@ pub mod window;
 
 use batcher::{BatchConfig, Batched, BatcherStats, Job};
 use pdn_core::telemetry::{self, write_json_str};
+use pdn_core::units::Seconds;
 use pdn_grid::build::PowerGrid;
 use pdn_model::model::Predictor;
 use pdn_sim::cache::{run_group_cached, WnvCache};
@@ -147,6 +148,7 @@ struct Ctx {
     rows: usize,
     cols: usize,
     loads: usize,
+    time_step: Seconds,
     hotspot_threshold: f64,
     started: Instant,
     stats: ServerStats,
@@ -276,6 +278,7 @@ pub fn serve(
         rows: tiles.rows(),
         cols: tiles.cols(),
         loads: grid.loads().len(),
+        time_step: grid.spec().time_step(),
         hotspot_threshold,
         started: Instant::now(),
         stats: ServerStats {
@@ -543,6 +546,7 @@ fn wants_jsonl(request: &http::Request) -> bool {
 }
 
 fn route(request: &http::Request, request_id: &str, ctx: &Ctx) -> Routed {
+    let vector = || VectorRequest::parse(&request.body, ctx.loads, ctx.time_step);
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Routed::plain(200, "application/json", health_json(ctx)),
         ("GET", "/metrics") => {
@@ -561,11 +565,11 @@ fn route(request: &http::Request, request_id: &str, ctx: &Ctx) -> Routed {
             publish_window_gauges(ctx);
             Routed::plain(200, "application/json", statusz_json(ctx))
         }
-        ("POST", "/predict") => match VectorRequest::parse(&request.body, ctx.loads) {
+        ("POST", "/predict") => match vector() {
             Ok(req) => dispatch(&ctx.predict_tx, &ctx.stats.predict, ctx, request_id, req.vector, Ok),
             Err(why) => Routed::plain(400, "application/json", error_json(&why)),
         },
-        ("POST", "/simulate") => match VectorRequest::parse(&request.body, ctx.loads) {
+        ("POST", "/simulate") => match vector() {
             Ok(req) => {
                 dispatch(&ctx.simulate_tx, &ctx.stats.simulate, ctx, request_id, req.vector, |resp| resp)
             }

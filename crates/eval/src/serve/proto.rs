@@ -10,6 +10,8 @@
 
 use pdn_core::map::TileMap;
 use pdn_core::telemetry::write_json_str;
+use pdn_core::units::Seconds;
+use pdn_sim::transient::check_time_step;
 use pdn_vectors::io::read_csv;
 use pdn_vectors::vector::TestVector;
 use std::fmt::Write as _;
@@ -23,13 +25,18 @@ pub struct VectorRequest {
 
 impl VectorRequest {
     /// Parses a request body (vector CSV) and validates it against the
-    /// served design, so shape mismatches answer as HTTP 400 instead of
-    /// panicking inside the predictor or the simulator.
+    /// served design's load count and time step, so mismatches answer as
+    /// HTTP 400 instead of panicking inside the predictor or the simulator,
+    /// or being simulated on the wrong time axis.
     ///
     /// # Errors
     ///
     /// A human-readable reason suitable for the error response body.
-    pub fn parse(body: &[u8], expected_loads: usize) -> Result<VectorRequest, String> {
+    pub fn parse(
+        body: &[u8],
+        expected_loads: usize,
+        time_step: Seconds,
+    ) -> Result<VectorRequest, String> {
         let vector = read_csv(body).map_err(|e| format!("bad vector CSV: {e}"))?;
         if vector.load_count() != expected_loads {
             return Err(format!(
@@ -41,6 +48,8 @@ impl VectorRequest {
         if vector.step_count() == 0 {
             return Err("vector has no time steps".to_string());
         }
+        check_time_step(time_step, &vector)
+            .map_err(|e| format!("{e} (set by the CSV's `dt_ps=` header; 1 ps without one)"))?;
         Ok(VectorRequest { vector })
     }
 }
@@ -186,15 +195,28 @@ mod tests {
     fn vector_request_round_trips_csv() {
         let vector = TestVector::from_rows(
             vec![vec![0.1, 0.2], vec![0.3, 0.4]],
-            pdn_core::units::Seconds(1e-11),
+            Seconds(1e-11),
         );
         let mut csv = Vec::new();
         pdn_vectors::io::write_csv(&vector, &mut csv).unwrap();
-        let parsed = VectorRequest::parse(&csv, 2).unwrap();
+        let dt = Seconds(1e-11);
+        let parsed = VectorRequest::parse(&csv, 2, dt).unwrap();
         assert_eq!(parsed.vector, vector);
-        let err = VectorRequest::parse(&csv, 3).unwrap_err();
+        let err = VectorRequest::parse(&csv, 3, dt).unwrap_err();
         assert!(err.contains("load columns"), "{err}");
-        assert!(VectorRequest::parse(b"not a csv", 2).is_err());
+        assert!(VectorRequest::parse(b"not a csv", 2, dt).is_err());
+    }
+
+    #[test]
+    fn vector_request_at_another_time_step_is_rejected() {
+        // /predict and /simulate answer a parse error with 400.
+        let dt = Seconds::from_picos(10.0);
+        let err = VectorRequest::parse(b"# pdn-wnv test-vector, dt_ps=2.5\n0.1,0.2\n", 2, dt)
+            .unwrap_err();
+        assert!(err.contains("2.5 ps") && err.contains("10 ps") && err.contains("dt_ps="), "{err}");
+        let err = VectorRequest::parse(b"0.1,0.2\n", 2, dt).unwrap_err();
+        assert!(err.contains("is 1 ps"), "{err}");
+        assert!(VectorRequest::parse(b"# pdn-wnv test-vector, dt_ps=10\n0.1,0.2\n", 2, dt).is_ok());
     }
 
     #[test]

@@ -4,18 +4,11 @@
 //! handle the vector with various lengths. An encoder–decoder structure is
 //! applied … a small network with four layers is enough."
 
-use pdn_nn::activation::Relu;
+use pdn_nn::activation::Activation;
 use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::deconv::ConvTranspose2d;
 use pdn_nn::layer::{Layer, Param};
 use pdn_nn::tensor::Tensor;
-
-/// Reusable intermediate buffers for [`FusionNet::forward_infer`].
-#[derive(Debug, Default, Clone)]
-pub struct FusionBufs {
-    a: Tensor,
-    b: Tensor,
-}
 
 /// Four-layer encoder–decoder applied independently to every compressed
 /// current map: two stride-2 encoding convolutions, two stride-2
@@ -35,11 +28,8 @@ pub struct FusionBufs {
 #[derive(Clone)]
 pub struct FusionNet {
     enc1: Conv2d,
-    relu1: Relu,
     enc2: Conv2d,
-    relu2: Relu,
     dec1: ConvTranspose2d,
-    relu3: Relu,
     dec2: ConvTranspose2d,
     channels: usize,
 }
@@ -55,14 +45,12 @@ impl FusionNet {
     /// (the paper's `C2`).
     pub fn new(channels: usize, seed: u64) -> FusionNet {
         let c = channels;
+        let (relu, rep) = (Activation::Relu, Padding::Replication);
         FusionNet {
-            enc1: Conv2d::new(1, c, 3, 2, Padding::Replication, seed.wrapping_add(21)),
-            relu1: Relu::new(),
-            enc2: Conv2d::new(c, c, 3, 2, Padding::Replication, seed.wrapping_add(22)),
-            relu2: Relu::new(),
-            dec1: ConvTranspose2d::new(c, c, 4, 2, 1, seed.wrapping_add(23)),
-            relu3: Relu::new(),
-            dec2: ConvTranspose2d::new(c, 1, 4, 2, 1, seed.wrapping_add(24)),
+            enc1: Conv2d::new(1, c, 3, 2, rep, relu, seed.wrapping_add(21)),
+            enc2: Conv2d::new(c, c, 3, 2, rep, relu, seed.wrapping_add(22)),
+            dec1: ConvTranspose2d::new(c, c, 4, 2, 1, relu, seed.wrapping_add(23)),
+            dec2: ConvTranspose2d::new(c, 1, 4, 2, 1, Activation::Identity, seed.wrapping_add(24)),
             channels: c,
         }
     }
@@ -71,45 +59,26 @@ impl FusionNet {
     pub fn channels(&self) -> usize {
         self.channels
     }
-
-    /// Inference-only forward into a reused output tensor. Uses the fused
-    /// conv+ReLU kernels and allocates nothing in steady state; the result
-    /// is bitwise identical to [`Layer::forward`].
-    pub fn forward_infer(&mut self, input: &Tensor, bufs: &mut FusionBufs, out: &mut Tensor) {
-        assert_eq!(input.shape()[0], 1, "fusion subnet takes one-channel current maps");
-        assert!(
-            input.shape()[1].is_multiple_of(4) && input.shape()[2].is_multiple_of(4),
-            "fusion input sides must be divisible by 4 (got {:?}); pad first",
-            input.shape()
-        );
-        self.enc1.forward_infer(input, &mut bufs.a, true);
-        self.enc2.forward_infer(&bufs.a, &mut bufs.b, true);
-        self.dec1.forward_infer(&bufs.b, &mut bufs.a, true);
-        self.dec2.forward_infer(&bufs.a, out, false);
-    }
 }
 
 impl Layer for FusionNet {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> &Tensor {
         assert_eq!(input.shape()[0], 1, "fusion subnet takes one-channel current maps");
         assert!(
             input.shape()[1].is_multiple_of(4) && input.shape()[2].is_multiple_of(4),
             "fusion input sides must be divisible by 4 (got {:?}); pad first",
             input.shape()
         );
-        let e1 = self.relu1.forward(&self.enc1.forward(input));
-        let e2 = self.relu2.forward(&self.enc2.forward(&e1));
-        let d1 = self.relu3.forward(&self.dec1.forward(&e2));
-        self.dec2.forward(&d1)
+        let e1 = self.enc1.forward(input);
+        let e2 = self.enc2.forward(e1);
+        let d1 = self.dec1.forward(e2);
+        self.dec2.forward(d1)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let g = self.dec2.backward(grad_out);
-        let g = self.relu3.backward(&g);
         let g = self.dec1.backward(&g);
-        let g = self.relu2.backward(&g);
         let g = self.enc2.backward(&g);
-        let g = self.relu1.backward(&g);
         self.enc1.backward(&g)
     }
 
@@ -153,18 +122,6 @@ mod tests {
         let r = check_layer(&mut net, &[1, 8, 8], 1e-2, 2);
         assert!(r.max_input_error < 0.05, "input errors: {:?}", r.max_input_error);
         assert!(r.param_fraction_above(0.05) < 0.02, "param errors: {:?}", r.max_param_error);
-    }
-
-    #[test]
-    fn forward_infer_matches_forward_bitwise() {
-        let mut net = FusionNet::new(4, 3);
-        let x = Tensor::from_fn3(1, 8, 12, |_, h, w| ((h * 5 + w) % 13) as f32 * 0.07 - 0.3);
-        let want = net.forward(&x);
-        let mut bufs = FusionBufs::default();
-        let mut out = Tensor::default();
-        net.forward_infer(&x, &mut bufs, &mut out);
-        net.forward_infer(&x, &mut bufs, &mut out);
-        assert_eq!(out, want);
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl Predictor {
 struct Params<'a>(&'a mut WnvModel);
 
 impl Layer for Params<'_> {
-    fn forward(&mut self, _input: &Tensor) -> Tensor {
+    fn forward(&mut self, _input: &Tensor) -> &Tensor {
         unreachable!("serialization-only adapter")
     }
     fn backward(&mut self, _grad: &Tensor) -> Tensor {

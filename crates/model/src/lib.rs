@@ -19,6 +19,11 @@
 //!
 //! [`model::WnvModel`] wires the subnets; [`trainer`] implements the
 //! training loop (Adam, lr = 1e-4, L1 loss, expansion split).
+//! [`model::Predictor`] answers queries through the same forward pass the
+//! trainer runs: every layer applies its ReLU in its bias epilogue and
+//! writes into a buffer it owns, and the model owns the padded inputs,
+//! fused maps and statistics, so a steady-state pass allocates nothing but
+//! the map `WnvModel::forward` returns.
 //!
 //! # Example
 //!

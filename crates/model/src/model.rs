@@ -1,9 +1,9 @@
 //! The assembled three-subnet model and the end-user predictor.
 
-use crate::fusion::{FusionBufs, FusionNet};
-use crate::pad::{crop_to, pad_to_multiple4, pad_to_multiple4_into, round_up4, uncrop_grad};
-use crate::stats::{StatsInferBufs, TemporalStats};
-use crate::unet::{UNet, UNetBufs};
+use crate::fusion::FusionNet;
+use crate::pad::{crop_to, pad_to_multiple4_into, round_up4, uncrop_grad};
+use crate::stats::TemporalStats;
+use crate::unet::UNet;
 use pdn_compress::temporal::{CompressScratch, TemporalCompressor};
 use pdn_core::map::TileMap;
 use pdn_features::dataset::Dataset;
@@ -31,14 +31,12 @@ impl Default for ModelConfig {
     }
 }
 
-struct ForwardCache {
-    fused: Vec<Tensor>,
-    padded_currents: Vec<Tensor>,
-    stats: TemporalStats,
-    out_rows: usize,
-    out_cols: usize,
-    padded_rows: usize,
-    padded_cols: usize,
+/// The map sizes of the last [`WnvModel::forward`], which `backward` needs.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    rows: usize,
+    cols: usize,
+    maps: usize,
 }
 
 /// The worst-case dynamic PDN noise prediction model (paper Fig. 3).
@@ -46,12 +44,26 @@ struct ForwardCache {
 /// Inputs: the design's distance tensor `[B, m, n]` and a (compressed)
 /// sequence of current maps `[1, m, n]`. Output: the predicted worst-case
 /// noise map `[1, m, n]` — the whole die in one pass.
+///
+/// The model owns its padded inputs, `D̃`, the fused maps, their statistics
+/// and the feature concatenation, and every layer owns its output, so a
+/// pass with the previous pass's shapes allocates nothing but the cropped
+/// map [`WnvModel::forward`] returns.
 pub struct WnvModel {
     distance_net: UNet,
     fusion_net: FusionNet,
     prediction_net: UNet,
     config: ModelConfig,
-    cache: Option<ForwardCache>,
+    padded_distance: Tensor,
+    /// The distance subnet's output `D̃`.
+    d_tilde: Tensor,
+    /// Padded current maps; the first [`Pass::maps`] are the current pass's.
+    padded_currents: Vec<Tensor>,
+    fused: Vec<Tensor>,
+    stats: TemporalStats,
+    cat: Tensor,
+    /// Set by `forward`, taken by `backward`.
+    pass: Option<Pass>,
 }
 
 impl std::fmt::Debug for WnvModel {
@@ -68,7 +80,13 @@ impl WnvModel {
             fusion_net: FusionNet::new(config.c2, seed.wrapping_add(200)),
             prediction_net: UNet::new(4, config.c3, 1, seed.wrapping_add(300)),
             config,
-            cache: None,
+            padded_distance: Tensor::default(),
+            d_tilde: Tensor::default(),
+            padded_currents: Vec::new(),
+            fused: Vec::new(),
+            stats: TemporalStats::default(),
+            cat: Tensor::default(),
+            pass: None,
         }
     }
 
@@ -96,28 +114,46 @@ impl WnvModel {
         for c in currents {
             assert_eq!(&c.shape()[1..], &[m, n], "current map shape mismatch");
         }
-        let padded_distance = pad_to_multiple4(distance);
-        let (mp, np) = (padded_distance.shape()[1], padded_distance.shape()[2]);
-
-        let d_tilde = self.distance_net.forward(&padded_distance);
-        let padded_currents: Vec<Tensor> = currents.iter().map(pad_to_multiple4).collect();
-        // The fusion subnet runs once per time sample with shared weights.
-        let fused: Vec<Tensor> =
-            padded_currents.iter().map(|c| self.fusion_net.forward(c)).collect();
-        let stats = TemporalStats::forward(&fused);
-        let cat = Tensor::concat_channels(&[&d_tilde, &stats.max, &stats.mean_extreme, &stats.msd]);
-        let out = self.prediction_net.forward(&cat);
-        let cropped = crop_to(&out, m, n);
-        self.cache = Some(ForwardCache {
-            fused,
-            padded_currents,
-            stats,
-            out_rows: m,
-            out_cols: n,
-            padded_rows: mp,
-            padded_cols: np,
-        });
+        self.reduce_distance(distance);
+        for (i, c) in currents.iter().enumerate() {
+            pad_to_multiple4_into(c, self.padded_current(i));
+        }
+        let cropped = crop_to(self.predict_padded(currents.len()), m, n);
+        self.pass = Some(Pass { rows: m, cols: n, maps: currents.len() });
         cropped
+    }
+
+    /// Runs the distance subnet on the padded distance tensor into `D̃`.
+    fn reduce_distance(&mut self, distance: &Tensor) {
+        pad_to_multiple4_into(distance, &mut self.padded_distance);
+        self.d_tilde.clone_from(self.distance_net.forward(&self.padded_distance));
+    }
+
+    /// The reused buffer for padded current map `i`.
+    fn padded_current(&mut self, i: usize) -> &mut Tensor {
+        while self.padded_currents.len() <= i {
+            self.padded_currents.push(Tensor::default());
+        }
+        &mut self.padded_currents[i]
+    }
+
+    /// Fuses the first `t` padded current maps (the fusion subnet runs once
+    /// per time sample with shared weights), reduces them to the temporal
+    /// statistics and predicts the padded noise map from them and `D̃`.
+    /// Shared by [`WnvModel::forward`] and [`Predictor::predict_into`].
+    fn predict_padded(&mut self, t: usize) -> &Tensor {
+        self.pass = None;
+        while self.fused.len() < t {
+            self.fused.push(Tensor::default());
+        }
+        for (map, fused) in self.padded_currents[..t].iter().zip(&mut self.fused) {
+            fused.clone_from(self.fusion_net.forward(map));
+        }
+        let stats = &mut self.stats;
+        stats.compute(&self.fused[..t]);
+        let features = [&self.d_tilde, &stats.max, &stats.mean_extreme, &stats.msd];
+        Tensor::concat_channels_into(&features, &mut self.cat);
+        self.prediction_net.forward(&self.cat)
     }
 
     /// Backward pass from the loss gradient w.r.t. the predicted map.
@@ -128,25 +164,22 @@ impl WnvModel {
     ///
     /// Panics if called before [`WnvModel::forward`].
     pub fn backward(&mut self, grad_out: &Tensor) {
-        let cache = self.cache.take().expect("backward before forward");
-        assert_eq!(
-            grad_out.shape(),
-            &[1, cache.out_rows, cache.out_cols],
-            "grad shape mismatch"
-        );
-        let g = uncrop_grad(grad_out, cache.padded_rows, cache.padded_cols);
+        let pass = self.pass.take().expect("backward before forward");
+        assert_eq!(grad_out.shape(), &[1, pass.rows, pass.cols], "grad shape mismatch");
+        let (mp, np) = (round_up4(pass.rows), round_up4(pass.cols));
+        let g = uncrop_grad(grad_out, mp, np);
         let gcat = self.prediction_net.backward(&g);
         let parts = gcat.split_channels(&[1, 1, 1, 1]);
         let (g_d, g_max, g_mean, g_msd) = (&parts[0], &parts[1], &parts[2], &parts[3]);
 
-        // Distance subnet still holds this sample's forward cache.
+        // Distance subnet still holds this sample's forward state.
         let _ = self.distance_net.backward(g_d);
 
-        // Fusion subnet: its cache only covers the last map, so re-run the
+        // Fusion subnet: its state only covers the last map, so re-run the
         // forward per map before its backward (recompute-instead-of-store),
         // accumulating every map's gradient in place, in map order.
-        let per_map = cache.stats.backward(&cache.fused, g_max, g_mean, g_msd);
-        for (map, gmap) in cache.padded_currents.iter().zip(&per_map) {
+        let per_map = self.stats.backward(&self.fused[..pass.maps], g_max, g_mean, g_msd);
+        for (map, gmap) in self.padded_currents.iter().zip(&per_map) {
             let _ = self.fusion_net.forward(map);
             let _ = self.fusion_net.backward(gmap);
         }
@@ -165,28 +198,18 @@ impl WnvModel {
     }
 }
 
-/// Reusable working memory for the predictor's inference path. Everything
-/// a [`Predictor::predict_into`] call touches lives here, so repeated
-/// predictions allocate nothing in steady state.
+/// Reusable working memory for the predictor's pre-CNN stages. With the
+/// model's own buffers, everything a [`Predictor::predict_into`] call
+/// touches is reused, so repeated predictions allocate nothing in steady
+/// state.
 #[derive(Default)]
 struct InferScratch {
-    /// `pad_to_multiple4(distance)` — depends only on the design.
-    padded_distance: Tensor,
-    /// Distance-net output; valid until the weights change.
-    d_tilde: Tensor,
+    /// Whether the model's `D̃` is valid for the current weights.
     d_tilde_valid: bool,
-    unet_d: UNetBufs,
-    unet_p: UNetBufs,
-    fusion: FusionBufs,
-    stats: StatsInferBufs,
     maps: Vec<TileMap>,
     totals: Vec<f64>,
     compress: CompressScratch,
     all: Vec<usize>,
-    cur: Tensor,
-    fused: Vec<Tensor>,
-    cat: Tensor,
-    pred: Tensor,
 }
 
 /// A trained model bundled with everything needed to answer a sign-off
@@ -255,8 +278,7 @@ impl Predictor {
         // Distance features depend only on the design and the weights:
         // compute them once and reuse across every query.
         if !s.d_tilde_valid {
-            pad_to_multiple4_into(distance, &mut s.padded_distance);
-            model.distance_net.forward_infer(&s.padded_distance, &mut s.unet_d, &mut s.d_tilde);
+            model.reduce_distance(distance);
             s.d_tilde_valid = true;
         }
 
@@ -284,40 +306,29 @@ impl Predictor {
             }
         };
 
-        // Fuse each kept map; the padded + normalized input tensor and the
-        // per-map outputs are all reused buffers.
-        let t_kept = kept.len();
-        while s.fused.len() < t_kept {
-            s.fused.push(Tensor::default());
-        }
+        // Normalize each kept map into the model's padded input buffers,
+        // then run the CNN tail the training forward runs.
         for (i, &k) in kept.iter().enumerate() {
             let map = &s.maps[k];
             assert_eq!(map.shape(), (m, n), "current map shape mismatch");
-            s.cur.resize_in_place(&[1, hp, wp]);
-            let cs = s.cur.as_mut_slice();
+            let cur = model.padded_current(i);
+            cur.resize_in_place(&[1, hp, wp]);
+            let cs = cur.as_mut_slice();
             let ms = map.as_slice();
             for r in 0..m {
                 for c in 0..n {
                     cs[r * wp + c] = current_norm.apply_f32(ms[r * n + c] as f32);
                 }
             }
-            model.fusion_net.forward_infer(&s.cur, &mut s.fusion, &mut s.fused[i]);
         }
-
-        // Temporal statistics, feature concatenation, prediction.
-        s.stats.compute(&s.fused[..t_kept]);
-        Tensor::concat_channels_into(
-            &[&s.d_tilde, &s.stats.max, &s.stats.mean_extreme, &s.stats.msd],
-            &mut s.cat,
-        );
-        model.prediction_net.forward_infer(&s.cat, &mut s.unet_p, &mut s.pred);
+        let pred = model.predict_padded(kept.len());
 
         // Crop and de-normalize straight into the caller's map.
         if out.shape() != (m, n) {
             *out = TileMap::zeros(m, n);
         }
         let os = out.as_mut_slice();
-        let ps = s.pred.as_slice();
+        let ps = pred.as_slice();
         for r in 0..m {
             for c in 0..n {
                 os[r * n + c] = target_norm.invert_f32(ps[r * wp + c].max(0.0)) as f64;

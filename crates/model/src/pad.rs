@@ -14,40 +14,22 @@ pub fn round_up4(n: usize) -> usize {
 }
 
 /// Zero-pads a `(C, H, W)` tensor at the bottom/right so both spatial sides
-/// are multiples of 4. Returns the tensor unchanged if already aligned.
+/// are multiples of 4, into a reused output tensor: `out` is resized (and
+/// zeroed) in place, so steady-state calls allocate nothing.
 ///
 /// # Example
 ///
 /// ```
-/// use pdn_model::pad::{pad_to_multiple4, crop_to};
+/// use pdn_model::pad::{crop_to, pad_to_multiple4_into};
 /// use pdn_nn::tensor::Tensor;
 ///
 /// let x = Tensor::filled(&[2, 5, 10], 1.0);
-/// let p = pad_to_multiple4(&x);
+/// let mut p = Tensor::default();
+/// pad_to_multiple4_into(&x, &mut p);
 /// assert_eq!(p.shape(), &[2, 8, 12]);
 /// let back = crop_to(&p, 5, 10);
-/// assert_eq!(back.shape(), &[2, 5, 10]);
+/// assert_eq!(back, x);
 /// ```
-pub fn pad_to_multiple4(x: &Tensor) -> Tensor {
-    assert_eq!(x.shape().len(), 3, "pad expects (C, H, W)");
-    let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let (hp, wp) = (round_up4(h), round_up4(w));
-    if hp == h && wp == w {
-        return x.clone();
-    }
-    let mut out = Tensor::zeros(&[c, hp, wp]);
-    for ci in 0..c {
-        for hh in 0..h {
-            for ww in 0..w {
-                out.set3(ci, hh, ww, x.at3(ci, hh, ww));
-            }
-        }
-    }
-    out
-}
-
-/// [`pad_to_multiple4`] into a reused output tensor: `out` is resized (and
-/// zeroed) in place, so steady-state calls allocate nothing.
 pub fn pad_to_multiple4_into(x: &Tensor, out: &mut Tensor) {
     assert_eq!(x.shape().len(), 3, "pad expects (C, H, W)");
     let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
@@ -63,7 +45,7 @@ pub fn pad_to_multiple4_into(x: &Tensor, out: &mut Tensor) {
 }
 
 /// Crops a `(C, H, W)` tensor to the top-left `h × w` region — the inverse
-/// of [`pad_to_multiple4`], also used as its gradient.
+/// of [`pad_to_multiple4_into`], also used as its gradient.
 ///
 /// # Panics
 ///
@@ -118,19 +100,29 @@ mod tests {
         assert_eq!(round_up4(1), 4);
     }
 
-    #[test]
-    fn aligned_input_untouched() {
-        let x = Tensor::filled(&[1, 8, 8], 2.0);
-        assert_eq!(pad_to_multiple4(&x), x);
+    fn pad(x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        pad_to_multiple4_into(x, &mut out);
+        out
     }
 
     #[test]
-    fn pad_into_matches_pad() {
+    fn aligned_input_untouched() {
+        let x = Tensor::filled(&[1, 8, 8], 2.0);
+        assert_eq!(pad(&x), x);
+    }
+
+    #[test]
+    fn pad_zero_fills_reused_buffers() {
         for (h, w) in [(5, 6), (8, 8), (7, 12)] {
             let x = Tensor::from_fn3(2, h, w, |c, hh, ww| (c * 100 + hh * 10 + ww) as f32);
             let mut out = Tensor::filled(&[1, 9, 9], 7.0); // stale contents must vanish
             pad_to_multiple4_into(&x, &mut out);
-            assert_eq!(out, pad_to_multiple4(&x), "{h}x{w}");
+            let (hp, wp) = (round_up4(h), round_up4(w));
+            let want = Tensor::from_fn3(2, hp, wp, |c, hh, ww| {
+                if hh < h && ww < w { x.at3(c, hh, ww) } else { 0.0 }
+            });
+            assert_eq!(out, want, "{h}x{w}");
         }
     }
 
@@ -138,7 +130,7 @@ mod tests {
     fn pad_crop_adjoint() {
         // <pad(x), y> == <x, crop(y)> — pad and crop are adjoint maps.
         let x = Tensor::from_fn3(1, 5, 6, |_, h, w| (h * 6 + w) as f32);
-        let p = pad_to_multiple4(&x);
+        let p = pad(&x);
         let y = Tensor::from_fn3(1, 8, 8, |_, h, w| ((h + w) % 3) as f32);
         let lhs: f32 = p.as_slice().iter().zip(y.as_slice()).map(|(a, b)| a * b).sum();
         let cy = crop_to(&y, 5, 6);

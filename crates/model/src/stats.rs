@@ -8,26 +8,35 @@
 
 use pdn_nn::tensor::Tensor;
 
-/// Inference-only variant of [`TemporalStats`]: the three feature maps in
-/// reusable tensors, with none of the argmax/μ/σ caches `backward` needs.
-/// `compute` replicates [`TemporalStats::forward`]'s accumulation order
-/// exactly, so the maps are bitwise identical to the training path.
-#[derive(Debug, Default, Clone)]
-pub struct StatsInferBufs {
+/// The temporal reduction: the three `[1, m, n]` feature maps plus the
+/// quantities `backward` needs. Training and prediction reuse one instance
+/// across passes, so a reduction with the previous one's shapes allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct TemporalStats {
     /// `Ĩ_max`.
     pub max: Tensor,
     /// `Ĩ_mean = (max + min) / 2`.
     pub mean_extreme: Tensor,
     /// `Ĩ_msd = μ + 3σ`.
     pub msd: Tensor,
-    min: Vec<f32>,
-    sum: Vec<f32>,
-    sum_sq: Vec<f32>,
+    argmax: Vec<usize>,
+    argmin: Vec<usize>,
+    mu: Vec<f32>,
+    sigma: Vec<f32>,
+    t_count: usize,
 }
 
-impl StatsInferBufs {
+/// Clears `v` and refills it with `len` copies of `value`, keeping its
+/// allocation.
+fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+impl TemporalStats {
     /// Computes the statistics over a non-empty sequence of `[1, m, n]`
-    /// maps into the reused buffers. Allocates nothing in steady state.
+    /// maps into the reused buffers.
     ///
     /// # Panics
     ///
@@ -43,108 +52,48 @@ impl StatsInferBufs {
         self.max.resize_in_place(shape);
         self.mean_extreme.resize_in_place(shape);
         self.msd.resize_in_place(shape);
-        self.max.as_mut_slice().fill(f32::NEG_INFINITY);
-        self.min.clear();
-        self.min.resize(len, f32::INFINITY);
-        self.sum.clear();
-        self.sum.resize(len, 0.0);
-        self.sum_sq.clear();
-        self.sum_sq.resize(len, 0.0);
-        let mx = self.max.as_mut_slice();
-        for m in maps {
-            for (i, &v) in m.as_slice().iter().enumerate() {
-                if v > mx[i] {
-                    mx[i] = v;
+        // Until the last sweep, `mean_extreme` holds the running minimum,
+        // `mu` the sum and `sigma` the sum of squares.
+        let max = self.max.as_mut_slice();
+        let min = self.mean_extreme.as_mut_slice();
+        max.fill(f32::NEG_INFINITY);
+        min.fill(f32::INFINITY);
+        refill(&mut self.argmax, len, 0);
+        refill(&mut self.argmin, len, 0);
+        refill(&mut self.mu, len, 0.0);
+        refill(&mut self.sigma, len, 0.0);
+        // Per map, the extremes and the sums run as two loops: the sums'
+        // loop then vectorizes, and every tile still accumulates in map
+        // order.
+        for (ti, m) in maps.iter().enumerate() {
+            let m = m.as_slice();
+            let extremes = max.iter_mut().zip(min.iter_mut());
+            let args = self.argmax.iter_mut().zip(self.argmin.iter_mut());
+            for ((&v, (mx, mn)), (amx, amn)) in m.iter().zip(extremes).zip(args) {
+                if v > *mx {
+                    *mx = v;
+                    *amx = ti;
                 }
-                if v < self.min[i] {
-                    self.min[i] = v;
+                if v < *mn {
+                    *mn = v;
+                    *amn = ti;
                 }
-                self.sum[i] += v;
-                self.sum_sq[i] += v * v;
+            }
+            for ((&v, sum), sum_sq) in m.iter().zip(&mut self.mu).zip(&mut self.sigma) {
+                *sum += v;
+                *sum_sq += v * v;
             }
         }
-        let me = self.mean_extreme.as_mut_slice();
         let msd = self.msd.as_mut_slice();
         for i in 0..len {
-            let mu = self.sum[i] / tf;
-            let sigma = (self.sum_sq[i] / tf - mu * mu).max(0.0).sqrt();
-            me[i] = 0.5 * (mx[i] + self.min[i]);
+            let mu = self.mu[i] / tf;
+            let sigma = (self.sigma[i] / tf - mu * mu).max(0.0).sqrt();
+            self.mu[i] = mu;
+            self.sigma[i] = sigma;
+            min[i] = 0.5 * (max[i] + min[i]);
             msd[i] = mu + 3.0 * sigma;
         }
-    }
-}
-
-/// Forward result of the temporal reduction: the three `[1, m, n]` feature
-/// maps plus the cached quantities `backward` needs.
-#[derive(Debug, Clone)]
-pub struct TemporalStats {
-    /// `Ĩ_max`.
-    pub max: Tensor,
-    /// `Ĩ_mean = (max + min) / 2`.
-    pub mean_extreme: Tensor,
-    /// `Ĩ_msd = μ + 3σ`.
-    pub msd: Tensor,
-    argmax: Vec<usize>,
-    argmin: Vec<usize>,
-    mu: Vec<f32>,
-    sigma: Vec<f32>,
-    t_count: usize,
-}
-
-impl TemporalStats {
-    /// Computes the statistics over a non-empty sequence of `[1, m, n]`
-    /// maps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `maps` is empty or shapes differ.
-    pub fn forward(maps: &[Tensor]) -> TemporalStats {
-        assert!(!maps.is_empty(), "temporal stats of empty sequence");
-        let shape = maps[0].shape().to_vec();
-        let len = maps[0].len();
-        for m in maps {
-            assert_eq!(m.shape(), &shape[..], "temporal stats shape mismatch");
-        }
-        let t = maps.len();
-        let tf = t as f32;
-        let mut max = vec![f32::NEG_INFINITY; len];
-        let mut min = vec![f32::INFINITY; len];
-        let mut argmax = vec![0usize; len];
-        let mut argmin = vec![0usize; len];
-        let mut sum = vec![0.0f32; len];
-        let mut sum_sq = vec![0.0f32; len];
-        for (ti, m) in maps.iter().enumerate() {
-            for (i, &v) in m.as_slice().iter().enumerate() {
-                if v > max[i] {
-                    max[i] = v;
-                    argmax[i] = ti;
-                }
-                if v < min[i] {
-                    min[i] = v;
-                    argmin[i] = ti;
-                }
-                sum[i] += v;
-                sum_sq[i] += v * v;
-            }
-        }
-        let mu: Vec<f32> = sum.iter().map(|s| s / tf).collect();
-        let sigma: Vec<f32> = sum_sq
-            .iter()
-            .zip(&mu)
-            .map(|(sq, m)| (sq / tf - m * m).max(0.0).sqrt())
-            .collect();
-        let mean_extreme: Vec<f32> = max.iter().zip(&min).map(|(a, b)| 0.5 * (a + b)).collect();
-        let msd: Vec<f32> = mu.iter().zip(&sigma).map(|(m, s)| m + 3.0 * s).collect();
-        TemporalStats {
-            max: Tensor::from_vec(&shape, max),
-            mean_extreme: Tensor::from_vec(&shape, mean_extreme),
-            msd: Tensor::from_vec(&shape, msd),
-            argmax,
-            argmin,
-            mu,
-            sigma,
-            t_count: t,
-        }
+        self.t_count = maps.len();
     }
 
     /// Number of time samples reduced over.
@@ -152,14 +101,14 @@ impl TemporalStats {
         self.t_count
     }
 
-    /// Whether the reduction covered zero samples. Never true.
+    /// Whether no reduction has been computed yet.
     pub fn is_empty(&self) -> bool {
         self.t_count == 0
     }
 
     /// Propagates gradients of the three feature maps back to each
     /// per-time-sample map. `maps` must be the same sequence given to
-    /// [`TemporalStats::forward`].
+    /// the last [`TemporalStats::compute`].
     ///
     /// * max: gradient flows to the arg-max sample per tile;
     /// * mean: half to arg-max, half to arg-min;
@@ -167,7 +116,7 @@ impl TemporalStats {
     ///
     /// # Panics
     ///
-    /// Panics if shapes are inconsistent with the forward call.
+    /// Panics if shapes are inconsistent with the last `compute`.
     pub fn backward(
         &self,
         maps: &[Tensor],
@@ -175,7 +124,7 @@ impl TemporalStats {
         g_mean: &Tensor,
         g_msd: &Tensor,
     ) -> Vec<Tensor> {
-        assert_eq!(maps.len(), self.t_count, "map count changed since forward");
+        assert_eq!(maps.len(), self.t_count, "map count changed since compute");
         let len = self.mu.len();
         assert_eq!(g_max.len(), len, "g_max shape");
         assert_eq!(g_mean.len(), len, "g_mean shape");
@@ -208,6 +157,12 @@ impl TemporalStats {
 mod tests {
     use super::*;
 
+    fn stats(maps: &[Tensor]) -> TemporalStats {
+        let mut s = TemporalStats::default();
+        s.compute(maps);
+        s
+    }
+
     fn seq() -> Vec<Tensor> {
         vec![
             Tensor::from_vec(&[1, 1, 2], vec![1.0, 5.0]),
@@ -218,7 +173,7 @@ mod tests {
 
     #[test]
     fn forward_known_values() {
-        let s = TemporalStats::forward(&seq());
+        let s = stats(&seq());
         assert_eq!(s.max.as_slice(), &[3.0, 5.0]);
         assert_eq!(s.mean_extreme.as_slice(), &[2.0, 3.0]);
         // Tile 0: μ = 2, σ = sqrt((1+9+4)/3 − 4) = sqrt(2/3).
@@ -229,7 +184,7 @@ mod tests {
     #[test]
     fn backward_max_routes_to_argmax() {
         let maps = seq();
-        let s = TemporalStats::forward(&maps);
+        let s = stats(&maps);
         let g1 = Tensor::from_vec(&[1, 1, 2], vec![1.0, 1.0]);
         let g0 = Tensor::zeros(&[1, 1, 2]);
         let grads = s.backward(&maps, &g1, &g0, &g0);
@@ -243,14 +198,14 @@ mod tests {
     fn backward_matches_finite_differences() {
         // Check all three stats' gradients numerically.
         let maps = seq();
-        let s = TemporalStats::forward(&maps);
+        let s = stats(&maps);
         let g_max = Tensor::from_vec(&[1, 1, 2], vec![0.7, -0.3]);
         let g_mean = Tensor::from_vec(&[1, 1, 2], vec![0.2, 0.5]);
         let g_msd = Tensor::from_vec(&[1, 1, 2], vec![-0.4, 0.9]);
         let analytic = s.backward(&maps, &g_max, &g_mean, &g_msd);
 
         let loss = |maps: &[Tensor]| -> f64 {
-            let s = TemporalStats::forward(maps);
+            let s = stats(maps);
             let dot = |a: &Tensor, b: &Tensor| -> f64 {
                 a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (*x as f64) * (*y as f64)).sum()
             };
@@ -276,23 +231,28 @@ mod tests {
     }
 
     #[test]
-    fn infer_bufs_match_forward_bitwise() {
-        let maps: Vec<Tensor> = (0..5)
-            .map(|t| Tensor::from_fn3(1, 3, 4, |_, h, w| ((t * 7 + h * 3 + w) % 11) as f32 * 0.13))
-            .collect();
-        let want = TemporalStats::forward(&maps);
-        let mut bufs = StatsInferBufs::default();
-        bufs.compute(&maps);
-        bufs.compute(&maps); // warmed buffers must be reset correctly
-        assert_eq!(bufs.max, want.max);
-        assert_eq!(bufs.mean_extreme, want.mean_extreme);
-        assert_eq!(bufs.msd, want.msd);
+    fn reused_buffers_match_a_fresh_reduction() {
+        let maps = |n: usize, h: usize| -> Vec<Tensor> {
+            (0..n)
+                .map(|t| Tensor::from_fn3(1, h, 4, |_, r, w| ((t * 7 + r * 3 + w) % 11) as f32))
+                .collect()
+        };
+        let (long, short) = (maps(5, 3), maps(2, 2));
+        let mut reused = stats(&long);
+        reused.compute(&short);
+        let want = stats(&short);
+        assert_eq!(reused.max, want.max);
+        assert_eq!(reused.mean_extreme, want.mean_extreme);
+        assert_eq!(reused.msd, want.msd);
+        assert_eq!(reused.len(), 2);
+        let g = Tensor::filled(&[1, 2, 4], 0.5);
+        assert_eq!(reused.backward(&short, &g, &g, &g), want.backward(&short, &g, &g, &g));
     }
 
     #[test]
     fn constant_sequence_zero_sigma_handled() {
         let maps = vec![Tensor::filled(&[1, 2, 2], 1.5); 4];
-        let s = TemporalStats::forward(&maps);
+        let s = stats(&maps);
         assert_eq!(s.msd.as_slice(), &[1.5; 4]);
         let g = Tensor::filled(&[1, 2, 2], 1.0);
         let grads = s.backward(&maps, &Tensor::zeros(&[1, 2, 2]), &Tensor::zeros(&[1, 2, 2]), &g);
@@ -307,6 +267,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty sequence")]
     fn empty_rejected() {
-        let _ = TemporalStats::forward(&[]);
+        let _ = stats(&[]);
     }
 }

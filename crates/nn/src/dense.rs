@@ -1,40 +1,52 @@
 //! Fully connected layer (used by the PowerNet baseline's head).
 
+use crate::activation::Activation;
 use crate::init;
 use crate::layer::{Layer, Param};
 use crate::tensor::Tensor;
 
 /// A dense (fully connected) layer: flattens its input and computes
-/// `y = W x + b` with `W ∈ R^{out×in}`.
+/// `y = act(W x + b)` with `W ∈ R^{out×in}`.
 ///
 /// # Example
 ///
 /// ```
+/// use pdn_nn::activation::Activation;
 /// use pdn_nn::dense::Dense;
 /// use pdn_nn::layer::Layer;
 /// use pdn_nn::tensor::Tensor;
 ///
-/// let mut fc = Dense::new(8, 3, 1);
+/// let mut fc = Dense::new(8, 3, Activation::Identity, 1);
 /// let y = fc.forward(&Tensor::zeros(&[2, 2, 2]));
 /// assert_eq!(y.shape(), &[3]);
 /// ```
 pub struct Dense {
     in_features: usize,
     out_features: usize,
+    act: Activation,
     weight: Param,
     bias: Param,
-    cached_input: Option<Tensor>,
+    /// The last forward's output, reused by the next one; `backward` reads
+    /// the activation's derivative off it.
+    out: Tensor,
+    /// A copy of the last forward's input, for the weight gradient.
+    input: Option<Tensor>,
+    gout: Vec<f32>,
 }
 
 impl Clone for Dense {
-    /// Clones configuration and parameters; the forward cache is dropped.
+    /// Clones configuration and parameters; the output and forward state
+    /// are dropped.
     fn clone(&self) -> Dense {
         Dense {
             in_features: self.in_features,
             out_features: self.out_features,
+            act: self.act,
             weight: self.weight.clone(),
             bias: self.bias.clone(),
-            cached_input: None,
+            out: Tensor::default(),
+            input: None,
+            gout: Vec::new(),
         }
     }
 }
@@ -44,6 +56,7 @@ impl std::fmt::Debug for Dense {
         f.debug_struct("Dense")
             .field("in_features", &self.in_features)
             .field("out_features", &self.out_features)
+            .field("act", &self.act)
             .finish_non_exhaustive()
     }
 }
@@ -54,7 +67,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if either feature count is zero.
-    pub fn new(in_features: usize, out_features: usize, seed: u64) -> Dense {
+    pub fn new(in_features: usize, out_features: usize, act: Activation, seed: u64) -> Dense {
         assert!(in_features > 0 && out_features > 0, "dense dims must be non-zero");
         // Reuse the conv initializer with a 1x1 "kernel": N(0, sqrt(2/in)).
         let w = init::kaiming_conv(out_features, in_features, 1, seed)
@@ -62,9 +75,12 @@ impl Dense {
         Dense {
             in_features,
             out_features,
+            act,
             weight: Param::new(w),
             bias: Param::new(Tensor::zeros(&[out_features])),
-            cached_input: None,
+            out: Tensor::default(),
+            input: None,
+            gout: Vec::new(),
         }
     }
 
@@ -80,24 +96,24 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> &Tensor {
         assert_eq!(input.len(), self.in_features, "dense input feature mismatch");
-        let mut out = Tensor::zeros(&[self.out_features]);
+        self.out.resize_in_place(&[self.out_features]);
         let (w, bias, x) =
             (self.weight.value.as_slice(), self.bias.value.as_slice(), input.as_slice());
-        for (o, ov) in out.as_mut_slice().iter_mut().enumerate() {
+        for (o, ov) in self.out.as_mut_slice().iter_mut().enumerate() {
             let row = &w[o * self.in_features..(o + 1) * self.in_features];
-            *ov = bias[o] + row.iter().zip(x).map(|(a, b)| a * b).sum::<f32>();
+            *ov = self.act.apply(bias[o] + row.iter().zip(x).map(|(a, b)| a * b).sum::<f32>());
         }
-        self.cached_input = Some(input.clone());
-        out
+        self.input.get_or_insert_with(Tensor::default).clone_from(input);
+        &self.out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
+        let input = self.input.as_ref().expect("backward before forward");
         assert_eq!(grad_out.len(), self.out_features, "dense grad mismatch");
         let x = input.as_slice();
-        let go = grad_out.as_slice();
+        let go = self.act.backward(self.out.as_slice(), grad_out.as_slice(), &mut self.gout);
         // Bias and weight gradients.
         for (gb, g) in self.bias.grad.as_mut_slice().iter_mut().zip(go) {
             *gb += g;
@@ -141,23 +157,25 @@ mod tests {
 
     #[test]
     fn known_answer() {
-        let mut fc = Dense::new(2, 2, 0);
-        fc.weight.value = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        fc.bias.value = Tensor::from_vec(&[2], vec![0.5, -0.5]);
-        let y = fc.forward(&Tensor::from_vec(&[2], vec![1.0, 1.0]));
-        assert_eq!(y.as_slice(), &[3.5, 6.5]);
+        for (act, want) in [(Activation::Identity, [3.5, -4.5]), (Activation::Relu, [3.5, 0.0])] {
+            let mut fc = Dense::new(2, 2, act, 0);
+            fc.weight.value = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, -3.0, -1.0]);
+            fc.bias.value = Tensor::from_vec(&[2], vec![0.5, -0.5]);
+            let y = fc.forward(&Tensor::from_vec(&[2], vec![1.0, 1.0]));
+            assert_eq!(y.as_slice(), &want, "{act:?}");
+        }
     }
 
     #[test]
     fn flattens_multidim_input() {
-        let mut fc = Dense::new(12, 4, 1);
+        let mut fc = Dense::new(12, 4, Activation::Identity, 1);
         let y = fc.forward(&Tensor::zeros(&[3, 2, 2]));
         assert_eq!(y.shape(), &[4]);
     }
 
     #[test]
     fn gradients_verified() {
-        let mut fc = Dense::new(6, 3, 2);
+        let mut fc = Dense::new(6, 3, Activation::Identity, 2);
         let r = check_layer(&mut fc, &[6], 1e-2, 2);
         assert!(r.max_input_error < 3e-2, "{:?}", r.max_input_error);
         assert!(r.max_param_error < 3e-2, "{:?}", r.max_param_error);
@@ -165,7 +183,7 @@ mod tests {
 
     #[test]
     fn input_grad_preserves_shape() {
-        let mut fc = Dense::new(8, 2, 3);
+        let mut fc = Dense::new(8, 2, Activation::Identity, 3);
         let _ = fc.forward(&Tensor::zeros(&[2, 2, 2]));
         let g = fc.backward(&Tensor::filled(&[2], 1.0));
         assert_eq!(g.shape(), &[2, 2, 2]);

@@ -158,22 +158,35 @@ pub fn check_layer<L: Layer>(layer: &mut L, input_shape: &[usize], eps: f32, see
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Relu;
+    use crate::activation::Activation;
     use crate::conv::{Conv2d, Padding};
     use crate::deconv::ConvTranspose2d;
+    use crate::dense::Dense;
 
     const TOL: f32 = 3e-2;
 
-    #[test]
-    fn relu_gradients() {
-        let mut relu = Relu::new();
-        let r = check_layer(&mut relu, &[2, 4, 4], 1e-3, 1);
-        assert!(r.max_input_error < 1e-3, "{r:?}");
+    fn conv(in_ch: usize, out_ch: usize, k: usize, s: usize, pad: Padding, seed: u64) -> Conv2d {
+        Conv2d::new(in_ch, out_ch, k, s, pad, Activation::Identity, seed)
+    }
+
+    /// Checks a ReLU layer: its forward must clamp some outputs to zero (so
+    /// the backward mask is exercised) and nearly every gradient entry must
+    /// match; a ±eps probe that crosses the kink may not.
+    fn check_relu_layer<L: Layer>(layer: &mut L, input_shape: &[usize], seed: u64) {
+        let r = check_layer(layer, input_shape, 1e-2, seed);
+        let mut rng = rng::derived(seed, "gradcheck");
+        let n: usize = input_shape.iter().product();
+        let x = Tensor::from_vec(input_shape, (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        let y = layer.forward(&x);
+        assert!(y.as_slice().contains(&0.0), "no output clamped");
+        assert!(y.as_slice().iter().any(|v| *v > 0.0), "every output clamped");
+        assert!(r.input_fraction_above(0.05) < 0.02, "{r:?}");
+        assert!(r.param_fraction_above(0.05) < 0.02, "{r:?}");
     }
 
     #[test]
     fn conv_zero_padding_stride1() {
-        let mut conv = Conv2d::new(2, 3, 3, 1, Padding::Zero, 2);
+        let mut conv = conv(2, 3, 3, 1, Padding::Zero, 2);
         let r = check_layer(&mut conv, &[2, 5, 5], 1e-2, 2);
         assert!(r.max_input_error < TOL, "{r:?}");
         assert!(r.max_param_error < TOL, "{r:?}");
@@ -181,7 +194,7 @@ mod tests {
 
     #[test]
     fn conv_replication_padding_stride1() {
-        let mut conv = Conv2d::new(2, 2, 3, 1, Padding::Replication, 3);
+        let mut conv = conv(2, 2, 3, 1, Padding::Replication, 3);
         let r = check_layer(&mut conv, &[2, 5, 5], 1e-2, 3);
         assert!(r.max_input_error < TOL, "{r:?}");
         assert!(r.max_param_error < TOL, "{r:?}");
@@ -189,7 +202,7 @@ mod tests {
 
     #[test]
     fn conv_stride2_downsample() {
-        let mut conv = Conv2d::new(1, 2, 3, 2, Padding::Replication, 4);
+        let mut conv = conv(1, 2, 3, 2, Padding::Replication, 4);
         let r = check_layer(&mut conv, &[1, 6, 6], 1e-2, 4);
         assert!(r.max_input_error < TOL, "{r:?}");
         assert!(r.max_param_error < TOL, "{r:?}");
@@ -197,7 +210,7 @@ mod tests {
 
     #[test]
     fn conv_stride2_odd_input() {
-        let mut conv = Conv2d::new(1, 2, 3, 2, Padding::Zero, 9);
+        let mut conv = conv(1, 2, 3, 2, Padding::Zero, 9);
         let r = check_layer(&mut conv, &[1, 7, 5], 1e-2, 9);
         assert!(r.max_input_error < TOL, "{r:?}");
         assert!(r.max_param_error < TOL, "{r:?}");
@@ -205,7 +218,7 @@ mod tests {
 
     #[test]
     fn deconv_stride2_upsample() {
-        let mut d = ConvTranspose2d::new(2, 2, 4, 2, 1, 5);
+        let mut d = ConvTranspose2d::new(2, 2, 4, 2, 1, Activation::Identity, 5);
         let r = check_layer(&mut d, &[2, 4, 4], 1e-2, 5);
         assert!(r.max_input_error < TOL, "{r:?}");
         assert!(r.max_param_error < TOL, "{r:?}");
@@ -213,9 +226,29 @@ mod tests {
 
     #[test]
     fn conv_1x1_output_layer() {
-        let mut conv = Conv2d::new(4, 1, 1, 1, Padding::Zero, 6);
+        let mut conv = conv(4, 1, 1, 1, Padding::Zero, 6);
         let r = check_layer(&mut conv, &[4, 4, 4], 1e-2, 6);
         assert!(r.max_input_error < TOL, "{r:?}");
         assert!(r.max_param_error < TOL, "{r:?}");
+    }
+
+    #[test]
+    fn conv_relu_epilogue() {
+        let mut conv = Conv2d::new(2, 3, 3, 1, Padding::Replication, Activation::Relu, 7);
+        check_relu_layer(&mut conv, &[2, 5, 5], 7);
+        let mut down = Conv2d::new(2, 2, 3, 2, Padding::Zero, Activation::Relu, 8);
+        check_relu_layer(&mut down, &[2, 7, 6], 8);
+    }
+
+    #[test]
+    fn deconv_relu_epilogue() {
+        let mut d = ConvTranspose2d::new(2, 2, 4, 2, 1, Activation::Relu, 10);
+        check_relu_layer(&mut d, &[2, 4, 4], 10);
+    }
+
+    #[test]
+    fn dense_relu_epilogue() {
+        let mut fc = Dense::new(12, 6, Activation::Relu, 11);
+        check_relu_layer(&mut fc, &[3, 2, 2], 11);
     }
 }

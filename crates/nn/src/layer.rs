@@ -33,13 +33,17 @@ impl Param {
 
 /// Forward/backward contract implemented by every layer.
 ///
-/// `forward` caches whatever the subsequent `backward` needs; `backward`
-/// consumes the gradient w.r.t. the layer output, **accumulates** parameter
-/// gradients, and returns the gradient w.r.t. the layer input. Calling
-/// `backward` before `forward` is a programming error and panics.
+/// `forward` writes into an output buffer the layer owns and keeps whatever
+/// the subsequent `backward` needs in buffers it reuses, so a pass with the
+/// shapes of the previous one allocates nothing. Training and prediction
+/// run this one forward. `backward` consumes the gradient w.r.t. the layer
+/// output, **accumulates** parameter gradients, and returns the gradient
+/// w.r.t. the layer input. Calling `backward` before `forward` is a
+/// programming error and panics.
 pub trait Layer {
-    /// Computes the layer output, caching activations for `backward`.
-    fn forward(&mut self, input: &Tensor) -> Tensor;
+    /// Computes the layer output into the layer's own buffer and returns
+    /// it; the next `forward` overwrites it.
+    fn forward(&mut self, input: &Tensor) -> &Tensor;
 
     /// Propagates gradients; returns `∂loss/∂input`.
     ///

@@ -19,6 +19,10 @@ use crate::tensor::Tensor;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct MaxPool2 {
+    /// The last forward's output, reused by the next one.
+    out: Tensor,
+    /// Flat input index of each output's maximum; `None` until the first
+    /// forward.
     argmax: Option<Vec<usize>>,
     in_shape: Vec<usize>,
 }
@@ -26,18 +30,19 @@ pub struct MaxPool2 {
 impl MaxPool2 {
     /// Creates a pooling layer.
     pub fn new() -> MaxPool2 {
-        MaxPool2 { argmax: None, in_shape: Vec::new() }
+        MaxPool2::default()
     }
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> &Tensor {
         assert_eq!(input.shape().len(), 3, "pool expects (C, H, W)");
         let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
         assert!(h >= 2 && w >= 2, "pool input too small");
         let (ho, wo) = (h / 2, w / 2);
-        let mut out = Tensor::zeros(&[c, ho, wo]);
-        let mut argmax = vec![0usize; c * ho * wo];
+        self.out.resize_in_place(&[c, ho, wo]);
+        let argmax = self.argmax.get_or_insert_with(Vec::new);
+        argmax.resize(c * ho * wo, 0);
         for ci in 0..c {
             let plane = input.channel(ci);
             for oh in 0..ho {
@@ -53,14 +58,14 @@ impl Layer for MaxPool2 {
                             }
                         }
                     }
-                    out.set3(ci, oh, ow, best);
+                    self.out.set3(ci, oh, ow, best);
                     argmax[(ci * ho + oh) * wo + ow] = best_idx;
                 }
             }
         }
-        self.argmax = Some(argmax);
-        self.in_shape = input.shape().to_vec();
-        out
+        self.in_shape.clear();
+        self.in_shape.extend_from_slice(input.shape());
+        &self.out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -21,14 +21,15 @@ const MAGIC: &[u8; 8] = b"PDNNWT01";
 /// # Example
 ///
 /// ```
+/// use pdn_nn::activation::Activation;
 /// use pdn_nn::conv::{Conv2d, Padding};
 /// use pdn_nn::serialize::{read_params, write_params};
 ///
 /// # fn main() -> std::io::Result<()> {
-/// let mut a = Conv2d::new(1, 2, 3, 1, Padding::Zero, 7);
+/// let mut a = Conv2d::new(1, 2, 3, 1, Padding::Zero, Activation::Identity, 7);
 /// let mut buf = Vec::new();
 /// write_params(&mut a, &mut buf)?;
-/// let mut b = Conv2d::new(1, 2, 3, 1, Padding::Zero, 99); // different init
+/// let mut b = Conv2d::new(1, 2, 3, 1, Padding::Zero, Activation::Identity, 99); // different init
 /// read_params(&mut b, &mut buf.as_slice())?;
 /// # Ok(())
 /// # }
@@ -113,29 +114,30 @@ pub fn read_params<L: Layer + ?Sized, R: Read>(layer: &mut L, mut reader: R) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
     use crate::conv::{Conv2d, Padding};
     use crate::tensor::Tensor;
 
     #[test]
     fn round_trip_restores_outputs() {
-        let mut a = Conv2d::new(2, 3, 3, 1, Padding::Replication, 5);
+        let mut a = Conv2d::new(2, 3, 3, 1, Padding::Replication, Activation::Identity, 5);
         let x = Tensor::from_fn3(2, 6, 6, |c, h, w| ((c + h * w) % 5) as f32 * 0.2);
-        let ya = a.forward(&x);
+        let ya = a.forward(&x).clone();
         let mut buf = Vec::new();
         write_params(&mut a, &mut buf).unwrap();
 
-        let mut b = Conv2d::new(2, 3, 3, 1, Padding::Replication, 1234);
-        assert_ne!(b.forward(&x), ya, "different init should differ");
+        let mut b = Conv2d::new(2, 3, 3, 1, Padding::Replication, Activation::Identity, 1234);
+        assert_ne!(b.forward(&x), &ya, "different init should differ");
         read_params(&mut b, &mut buf.as_slice()).unwrap();
-        assert_eq!(b.forward(&x), ya, "restored layer must reproduce outputs");
+        assert_eq!(b.forward(&x), &ya, "restored layer must reproduce outputs");
     }
 
     #[test]
     fn shape_mismatch_rejected() {
-        let mut a = Conv2d::new(1, 2, 3, 1, Padding::Zero, 0);
+        let mut a = Conv2d::new(1, 2, 3, 1, Padding::Zero, Activation::Identity, 0);
         let mut buf = Vec::new();
         write_params(&mut a, &mut buf).unwrap();
-        let mut wrong = Conv2d::new(1, 4, 3, 1, Padding::Zero, 0);
+        let mut wrong = Conv2d::new(1, 4, 3, 1, Padding::Zero, Activation::Identity, 0);
         let err = read_params(&mut wrong, &mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
@@ -152,7 +154,7 @@ mod tests {
             }
             buf
         };
-        let mut conv = Conv2d::new(1, 1, 1, 1, Padding::Zero, 0);
+        let mut conv = Conv2d::new(1, 1, 1, 1, Padding::Zero, Activation::Identity, 0);
         for (what, buf) in [
             ("count", header(&[u32::MAX])),
             ("rank", header(&[2, u32::MAX])),
@@ -165,7 +167,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut a = Conv2d::new(1, 1, 1, 1, Padding::Zero, 0);
+        let mut a = Conv2d::new(1, 1, 1, 1, Padding::Zero, Activation::Identity, 0);
         let buf = b"NOTMAGIC\0\0\0\0".to_vec();
         let err = read_params(&mut a, &mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -173,10 +175,10 @@ mod tests {
 
     #[test]
     fn moments_reset_on_load() {
-        let mut a = Conv2d::new(1, 1, 3, 1, Padding::Zero, 0);
+        let mut a = Conv2d::new(1, 1, 3, 1, Padding::Zero, Activation::Identity, 0);
         let mut buf = Vec::new();
         write_params(&mut a, &mut buf).unwrap();
-        let mut b = Conv2d::new(1, 1, 3, 1, Padding::Zero, 0);
+        let mut b = Conv2d::new(1, 1, 3, 1, Padding::Zero, Activation::Identity, 0);
         b.visit_params(&mut |p| {
             p.m = Tensor::filled(p.m.shape(), 1.0);
             p.grad = Tensor::filled(p.grad.shape(), 2.0);

@@ -21,10 +21,24 @@ use std::fmt;
 /// assert_eq!(t.at3(1, 2, 2), 5.0);
 /// assert_eq!(t.len(), 18);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Tensor {
+        Tensor { shape: self.shape.clone(), data: self.data.clone() }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s buffers when their
+    /// capacity suffices, so layers can keep what `backward` needs without
+    /// allocating on every pass.
+    fn clone_from(&mut self, source: &Tensor) {
+        self.shape.clone_from(&source.shape);
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Tensor {
@@ -253,8 +267,8 @@ impl Tensor {
 
     /// Reshapes in place to `shape`, zero-filling every element and reusing
     /// the existing allocation when capacity permits. The workhorse of the
-    /// zero-alloc inference path: repeated calls with the same shape never
-    /// touch the allocator.
+    /// layers' allocation-free forward: repeated calls with the same shape
+    /// never touch the allocator.
     ///
     /// # Panics
     ///

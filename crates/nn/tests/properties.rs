@@ -1,9 +1,12 @@
 //! Property tests for the tensor/CNN stack.
 
+use pdn_nn::activation::Activation;
 use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::layer::Layer;
 use pdn_nn::tensor::Tensor;
 use proptest::prelude::*;
+
+const IDENTITY: Activation = Activation::Identity;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -35,17 +38,15 @@ proptest! {
         w in 4usize..10,
         seed in 0u64..30,
     ) {
-        let mut conv = Conv2d::new(2, 3, 3, 1, Padding::Zero, seed);
+        let mut conv = Conv2d::new(2, 3, 3, 1, Padding::Zero, IDENTITY, seed);
         conv.bias_mut().value.zero(); // linearity holds without bias
         let x1 = Tensor::from_fn3(2, h, w, |c, hh, ww| ((c + hh * ww + seed as usize) % 7) as f32 * 0.2);
         let x2 = Tensor::from_fn3(2, h, w, |c, hh, ww| ((c * 3 + hh + ww) % 5) as f32 * 0.3);
-        let y1 = conv.forward(&x1);
-        let y2 = conv.forward(&x2);
+        let mut sum = conv.forward(&x1).clone();
+        sum.add_assign(conv.forward(&x2));
         let mut x12 = x1.clone();
         x12.add_assign(&x2);
         let y12 = conv.forward(&x12);
-        let mut sum = y1.clone();
-        sum.add_assign(&y2);
         for (a, b) in y12.as_slice().iter().zip(sum.as_slice()) {
             prop_assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -59,7 +60,7 @@ proptest! {
         w in 4usize..12,
         stride in 1usize..3,
     ) {
-        let mut conv = Conv2d::new(cin, cout, 3, stride, Padding::Replication, 0);
+        let mut conv = Conv2d::new(cin, cout, 3, stride, Padding::Replication, IDENTITY, 0);
         let y = conv.forward(&Tensor::zeros(&[cin, h, w]));
         // Pad 1 each side, kernel 3: out = floor((d + 2 - 3)/s) + 1.
         let expect = |d: usize| (d - 1) / stride + 1;
@@ -75,7 +76,7 @@ proptest! {
         // An all-ones 3x3 kernel over a constant field with replication
         // padding must yield exactly 9x the constant everywhere — no edge
         // effects, unlike zero padding.
-        let mut conv = Conv2d::new(1, 1, 3, 1, Padding::Replication, 0);
+        let mut conv = Conv2d::new(1, 1, 3, 1, Padding::Replication, IDENTITY, 0);
         conv.weight_mut().value = Tensor::filled(&[1, 1, 3, 3], 1.0);
         let y = conv.forward(&Tensor::filled(&[1, h, w], level));
         for v in y.as_slice() {
@@ -90,10 +91,10 @@ proptest! {
         seed in 0u64..100,
     ) {
         use pdn_nn::serialize::{read_params, write_params};
-        let mut a = Conv2d::new(cin, cout, 3, 1, Padding::Zero, seed);
+        let mut a = Conv2d::new(cin, cout, 3, 1, Padding::Zero, IDENTITY, seed);
         let mut buf = Vec::new();
         write_params(&mut a, &mut buf).unwrap();
-        let mut b = Conv2d::new(cin, cout, 3, 1, Padding::Zero, seed + 999);
+        let mut b = Conv2d::new(cin, cout, 3, 1, Padding::Zero, IDENTITY, seed + 999);
         read_params(&mut b, &mut buf.as_slice()).unwrap();
         let x = Tensor::filled(&[cin, 5, 5], 0.37);
         prop_assert_eq!(a.forward(&x), b.forward(&x));

@@ -1,6 +1,6 @@
 //! The per-window CNN at PowerNet's core.
 
-use pdn_nn::activation::Relu;
+use pdn_nn::activation::Activation;
 use pdn_nn::conv::{Conv2d, Padding};
 use pdn_nn::dense::Dense;
 use pdn_nn::layer::{Layer, Param};
@@ -26,13 +26,10 @@ use pdn_nn::tensor::Tensor;
 pub struct PowerNetCore {
     window: usize,
     conv1: Conv2d,
-    relu1: Relu,
     pool1: MaxPool2,
     conv2: Conv2d,
-    relu2: Relu,
     pool2: MaxPool2,
     fc1: Dense,
-    relu3: Relu,
     fc2: Dense,
 }
 
@@ -53,17 +50,15 @@ impl PowerNetCore {
         assert!(window >= 4, "window must be at least 4");
         let after1 = window / 2;
         let after2 = after1 / 2;
+        let (c, relu) = (channels, Activation::Relu);
         PowerNetCore {
             window,
-            conv1: Conv2d::new(2, channels, 3, 1, Padding::Zero, seed.wrapping_add(31)),
-            relu1: Relu::new(),
+            conv1: Conv2d::new(2, c, 3, 1, Padding::Zero, relu, seed.wrapping_add(31)),
             pool1: MaxPool2::new(),
-            conv2: Conv2d::new(channels, 2 * channels, 3, 1, Padding::Zero, seed.wrapping_add(32)),
-            relu2: Relu::new(),
+            conv2: Conv2d::new(c, 2 * c, 3, 1, Padding::Zero, relu, seed.wrapping_add(32)),
             pool2: MaxPool2::new(),
-            fc1: Dense::new(2 * channels * after2 * after2, 32, seed.wrapping_add(33)),
-            relu3: Relu::new(),
-            fc2: Dense::new(32, 1, seed.wrapping_add(34)),
+            fc1: Dense::new(2 * c * after2 * after2, 32, relu, seed.wrapping_add(33)),
+            fc2: Dense::new(32, 1, Activation::Identity, seed.wrapping_add(34)),
         }
     }
 
@@ -74,27 +69,24 @@ impl PowerNetCore {
 }
 
 impl Layer for PowerNetCore {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> &Tensor {
         assert_eq!(
             input.shape(),
             &[2, self.window, self.window],
             "PowerNet core expects [2, w, w] windows"
         );
-        let x = self.pool1.forward(&self.relu1.forward(&self.conv1.forward(input)));
-        let x = self.pool2.forward(&self.relu2.forward(&self.conv2.forward(&x)));
-        let x = self.relu3.forward(&self.fc1.forward(&x));
-        self.fc2.forward(&x)
+        let x = self.pool1.forward(self.conv1.forward(input));
+        let x = self.pool2.forward(self.conv2.forward(x));
+        let x = self.fc1.forward(x);
+        self.fc2.forward(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let g = self.fc2.backward(grad_out);
-        let g = self.relu3.backward(&g);
         let g = self.fc1.backward(&g);
         let g = self.pool2.backward(&g);
-        let g = self.relu2.backward(&g);
         let g = self.conv2.backward(&g);
         let g = self.pool1.backward(&g);
-        let g = self.relu1.backward(&g);
         self.conv1.backward(&g)
     }
 
@@ -130,10 +122,9 @@ mod tests {
     fn clone_shares_weights_not_cache() {
         let mut a = PowerNetCore::new(8, 2, 3);
         let x = Tensor::filled(&[2, 8, 8], 0.5);
-        let ya = a.forward(&x);
+        let ya = a.forward(&x).clone();
         let mut b = a.clone();
-        let yb = b.forward(&x);
-        assert_eq!(ya, yb);
+        assert_eq!(b.forward(&x), &ya);
     }
 
     #[test]
@@ -154,7 +145,7 @@ mod tests {
             core.zero_grad();
             for (x, y) in xs.iter().zip(&ys) {
                 let pred = core.forward(x);
-                let (l, g) = loss::l1(&pred, y);
+                let (l, g) = loss::l1(pred, y);
                 total += l;
                 let _ = core.backward(&g);
             }

@@ -43,12 +43,12 @@
 //! another thread's in-flight simulation.
 
 use crate::error::SimResult;
-use crate::transient::TransientStats;
+use crate::transient::{check_time_step, TransientStats};
 use crate::wnv::{NoiseReport, WnvRunner};
 use pdn_core::fsio::{self, Digest};
 use pdn_core::map::TileMap;
 use pdn_core::telemetry;
-use pdn_core::units::Volts;
+use pdn_core::units::{Seconds, Volts};
 use pdn_grid::build::PowerGrid;
 use pdn_vectors::vector::TestVector;
 use std::collections::HashMap;
@@ -382,13 +382,21 @@ fn simulate_and_publish(
 ///
 /// # Errors
 ///
-/// Propagates simulator failures on the miss path.
+/// [`crate::SimError::TimeStepMismatch`] for a vector sampled at another
+/// time step than the runner's, before any lookup; propagates simulator
+/// failures on the miss path.
 pub fn run_group_store(
     store: &(impl CacheStore + ?Sized),
     runner: &WnvRunner,
     grid: &PowerGrid,
     vectors: &[TestVector],
 ) -> SimResult<Vec<NoiseReport>> {
+    // Before any lookup: an entry stored for a mismatched vector (by a
+    // build that did not check) must not answer it.
+    let dt = Seconds(runner.simulator().time_step());
+    for v in vectors {
+        check_time_step(dt, v)?;
+    }
     let base = group_digest(grid, runner);
     let keys: Vec<CacheKey> = vectors.iter().map(|v| vector_cache_key_from(&base, v)).collect();
     let mut results: Vec<Option<NoiseReport>> = keys.iter().map(|&k| store.lookup(k)).collect();

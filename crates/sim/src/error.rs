@@ -18,6 +18,14 @@ pub enum SimError {
         /// Loads in the vector.
         actual: usize,
     },
+    /// The test vector was sampled at another time step than the grid is
+    /// simulated at.
+    TimeStepMismatch {
+        /// The grid's time step, in seconds.
+        expected: f64,
+        /// The vector's time step, in seconds.
+        actual: f64,
+    },
     /// The grid has no bumps, so the network floats and has no DC solution.
     NoBumps,
     /// Vectors in one batch must share a step count so the batched solver
@@ -36,6 +44,17 @@ impl fmt::Display for SimError {
             SimError::Solve(e) => write!(f, "linear solve failed: {e}"),
             SimError::VectorMismatch { expected, actual } => {
                 write!(f, "test vector has {actual} loads but the grid has {expected}")
+            }
+            SimError::TimeStepMismatch { expected, actual } => {
+                // Femtosecond resolution: a CSV header's decimal round trip
+                // prints as the value that was written.
+                let ps = |s: f64| (s * 1e15).round() / 1e3;
+                write!(
+                    f,
+                    "test vector time step is {} ps but the grid steps at {} ps",
+                    ps(*actual),
+                    ps(*expected)
+                )
             }
             SimError::NoBumps => write!(f, "grid has no bumps; network is floating"),
             SimError::BatchStepMismatch { expected, actual } => {

@@ -3,7 +3,7 @@
 use crate::error::{SimError, SimResult};
 use crate::static_ir::StaticAnalysis;
 use pdn_core::telemetry;
-use pdn_core::units::Volts;
+use pdn_core::units::{Seconds, Volts};
 use pdn_grid::build::PowerGrid;
 use pdn_grid::stamp;
 use pdn_sparse::cg::{self, CgOptions};
@@ -35,6 +35,23 @@ pub enum SolverKind {
 enum SolverState {
     Cg { pre: IncompleteCholesky, opts: CgOptions },
     Direct { chol: SupernodalCholesky },
+}
+
+/// Checks that `vector` was sampled at the grid's time step `dt`, to a
+/// relative 1e-9: a vector CSV's `dt_ps=` header round-trips far inside
+/// that. The engine steps at `dt` whatever the vector says, so a vector
+/// at any other step would be simulated on the wrong time axis.
+///
+/// # Errors
+///
+/// [`SimError::TimeStepMismatch`] naming both time steps.
+pub fn check_time_step(dt: Seconds, vector: &TestVector) -> SimResult<()> {
+    let (expected, actual) = (dt.0, vector.time_step().0);
+    if (actual - expected).abs() <= 1e-9 * expected.abs() {
+        Ok(())
+    } else {
+        Err(SimError::TimeStepMismatch { expected, actual })
+    }
 }
 
 /// Aggregate statistics of one transient run.
@@ -261,7 +278,8 @@ impl TransientSimulator {
     /// for more than [`MAX_LOCKSTEP`] vectors (chunk them, as
     /// [`crate::wnv::WnvRunner::run_group`] does),
     /// [`SimError::VectorMismatch`] on a wrong load count,
-    /// [`SimError::BatchStepMismatch`] when step counts differ within the
+    /// [`SimError::TimeStepMismatch`] on a vector sampled at another time
+    /// step, [`SimError::BatchStepMismatch`] when step counts differ within the
     /// batch, and propagates solver failures.
     pub fn run_batch_with<F: FnMut(usize, usize, &[f64])>(
         &self,
@@ -285,6 +303,7 @@ impl TransientSimulator {
                     actual: vector.load_count(),
                 });
             }
+            check_time_step(Seconds(self.dt), vector)?;
             if vector.step_count() != steps {
                 return Err(SimError::BatchStepMismatch {
                     expected: steps,
@@ -385,7 +404,6 @@ impl TransientSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdn_core::units::Seconds;
     use pdn_grid::design::{DesignPreset, DesignScale};
     use pdn_vectors::scenario::Scenario;
 
@@ -401,7 +419,7 @@ mod tests {
             10,
             g.loads().len(),
             vec![0.0; 10 * g.loads().len()],
-            Seconds::from_picos(5.0),
+            g.spec().time_step(),
         );
         let (volts, stats) = sim.run_full(&v).unwrap();
         assert_eq!(stats.steps, 10);
@@ -563,6 +581,27 @@ mod tests {
         let sim = TransientSimulator::new(&g).unwrap();
         let v = TestVector::from_flat(2, 3, vec![0.0; 6], Seconds::from_picos(5.0));
         assert!(matches!(sim.run_full(&v), Err(SimError::VectorMismatch { .. })));
+    }
+
+    #[test]
+    fn time_step_mismatch_rejected() {
+        let g = grid();
+        let sim = TransientSimulator::new(&g).unwrap();
+        let n = g.loads().len();
+        let at = |dt| TestVector::from_flat(2, n, vec![1e-3; 2 * n], dt);
+        // The grid steps at 10 ps; a vector at 2.5 ps, at 1 ps (a CSV with
+        // no header) or at NaN must not be simulated at 10 ps.
+        for ps in [2.5, 1.0, f64::NAN] {
+            let err = sim.run_full(&at(Seconds::from_picos(ps))).unwrap_err();
+            assert!(matches!(err, SimError::TimeStepMismatch { .. }), "{ps} ps: {err}");
+        }
+        let err = sim.run_full(&at(Seconds::from_picos(2.5))).unwrap_err();
+        assert_eq!(err.to_string(), "test vector time step is 2.5 ps but the grid steps at 10 ps");
+        // A decimal header's round trip stays inside the relative 1e-9.
+        let dt = g.spec().time_step().0;
+        let written: f64 = format!("{}", dt * 1e12).parse().unwrap();
+        assert!(sim.run_full(&at(Seconds::from_picos(written))).is_ok());
+        assert!(sim.run_full(&at(Seconds(dt * (1.0 + 1e-6)))).is_err());
     }
 
     #[test]

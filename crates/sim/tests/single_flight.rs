@@ -7,8 +7,11 @@
 
 use pdn_core::telemetry;
 use pdn_grid::design::{DesignPreset, DesignScale};
-use pdn_sim::cache::{run_group_store, CacheKey, CacheStore, WnvCache};
+use pdn_core::units::Seconds;
+use pdn_sim::cache::{cache_key, run_group_store, CacheKey, CacheStore, WnvCache};
 use pdn_sim::wnv::{NoiseReport, WnvRunner};
+use pdn_sim::SimError;
+use pdn_vectors::vector::TestVector;
 use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
 use std::collections::HashMap;
 use std::io;
@@ -125,4 +128,25 @@ fn run_group_store_works_against_a_non_filesystem_backend() {
     let dyn_store: &dyn CacheStore = &store;
     let third = run_group_store(dyn_store, &runner, &grid, &vectors).unwrap();
     assert_eq!(third.len(), 2);
+}
+
+#[test]
+fn a_stored_entry_cannot_answer_a_vector_at_another_time_step() {
+    let _serial = serial();
+    let grid = DesignPreset::D1.spec(DesignScale::Tiny).build(1).unwrap();
+    let runner = WnvRunner::new(&grid).unwrap();
+    let gen = VectorGenerator::new(&grid, GeneratorConfig { steps: 30, ..Default::default() });
+    let good = gen.generate(29);
+    let report = runner.run(&good).unwrap();
+
+    // The same currents at 2.5 ps on the 10 ps grid, with an entry stored
+    // under its key, as a build that simulated it at 10 ps would have left.
+    let rows: Vec<Vec<f64>> = (0..good.step_count()).map(|k| good.step(k).to_vec()).collect();
+    let bad = TestVector::from_rows(rows, Seconds::from_picos(2.5));
+    let store = MemStore::default();
+    store.store(cache_key(&grid, &bad, &runner), &report).unwrap();
+
+    let err = run_group_store(&store, &runner, &grid, &[good.clone(), bad]).unwrap_err();
+    assert!(matches!(err, SimError::TimeStepMismatch { .. }), "{err}");
+    assert_eq!(run_group_store(&store, &runner, &grid, &[good]).unwrap().len(), 1);
 }

@@ -112,6 +112,25 @@ diff -r "$cache_dir/threads1/sim" "$cache_dir/threads2/sim" \
 diff -r "$cache_dir/threads1/predict" "$cache_dir/threads2/predict" \
     || { echo "thread determinism: predict outputs differ between widths 1 and 2"; exit 1; }
 echo "thread determinism: train, simulate and predict identical at widths 1 and 2"
+# Pinned bits: the trained CNN and its prediction must not move from one
+# commit to the next. D3 tiny's 8 x 10 tiles exercise the pad and crop code.
+pin() {  # pin FILE SHA256
+    echo "$2  $1" | sha256sum --check --quiet - >/dev/null 2>&1 \
+        || { echo "cnn pin: $1 moved from $2"; sha256sum "$1"; exit 1; }
+}
+pin "$cache_dir/threads1/model.pdn" \
+    73156d41698a3175a282c4864703de38eaf82c7df65fe3701fbdacd621f653d0
+pin "$cache_dir/threads1/predict/D1_seed7_predicted.csv" \
+    c26f30b7b763eed05ea538cdbf52eeb00e15dbc38bc8d90f7fa145a83f680897
+d3="$cache_dir/d3"
+PDN_THREADS=1 ./target/release/pdn train --design D3 --scale tiny --vectors 4 \
+    --steps 30 --epochs 2 --cache-dir none --out "$d3/model.pdn" >/dev/null
+PDN_THREADS=1 ./target/release/pdn predict --model "$d3/model.pdn" \
+    --design D3 --scale tiny --seed 7 --out "$d3/predict" >/dev/null
+pin "$d3/model.pdn" c0003ccdd23c3e6796a833bd2e2afcf70c46f1adf17289f3293a0d2fbad27188
+pin "$d3/predict/D3_seed7_predicted.csv" \
+    345142ed3172198b24e83af098fbc3e36d79b7ce85948841731652e2f988871e
+echo "cnn pin: D1 and D3 tiny bundles and predicted maps unchanged"
 # 40 RHS = three sweep blocks, so widths 2 and 3 split them across threads.
 for t in 1 2 3; do
     PDN_THREADS=$t ./target/release/pdn factor --design D1 --scale tiny --rhs 40 \
@@ -206,6 +225,24 @@ flag_out="$(timeout 60 ./target/release/experiments --quik --out "$cache_dir/qui
 grep -q 'unknown flag --quik' <<<"$flag_out" \
     || { echo "flag check: experiments error does not name --quik"; echo "$flag_out"; exit 1; }
 echo "unknown flags: predict --precision, simulate --sovler and experiments --quik rejected by name"
+
+echo
+echo "== vector time step =="
+# The engine steps at the design's time step, so a vector CSV sampled at
+# another one (its dt_ps= header) must be refused, not run at 10 ps.
+./target/release/pdn export-vector --design D1 --scale tiny --steps 8 \
+    --out "$cache_dir/dt10.csv" >/dev/null
+{ echo '# pdn-wnv test-vector, dt_ps=2.5'; grep -v '^#' "$cache_dir/dt10.csv"; } \
+    > "$cache_dir/dt2p5.csv"
+./target/release/pdn simulate --design D1 --scale tiny --vector "$cache_dir/dt10.csv" \
+    >/dev/null || { echo "time step: simulate refused a 10 ps vector"; exit 1; }
+dt_out="$(./target/release/pdn simulate --design D1 --scale tiny \
+    --vector "$cache_dir/dt2p5.csv" 2>&1)" \
+    && { echo "time step: simulate accepted a 2.5 ps vector on the 10 ps grid"; exit 1; }
+grep -q 'time step is 2.5 ps but the grid steps at 10 ps (set by its `dt_ps=` header' \
+    <<<"$dt_out" \
+    || { echo "time step: simulate error does not name both steps and dt_ps="; echo "$dt_out"; exit 1; }
+echo "time step: simulate refuses a dt_ps=2.5 vector on the 10 ps D1 grid"
 
 echo
 echo "== experiments quick =="

@@ -530,6 +530,9 @@ fn load_or_generate_vector(
             )
             .into());
         }
+        pdn_wnv::sim::transient::check_time_step(grid.spec().time_step(), &v).map_err(|e| {
+            format!("vector file {path}: {e} (set by its `dt_ps=` header; 1 ps without one)")
+        })?;
         return Ok(v);
     }
     let steps = parse(opts, "steps", 120usize)?;

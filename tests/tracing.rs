@@ -1,7 +1,8 @@
 //! Integration coverage for hierarchical trace spans and the run-analysis
 //! pipeline: cross-thread span nesting in the JSONL sink, the Chrome-trace
 //! exporter round trip, and the `pdn report` / `--trace` CLI end to end
-//! (the last two drive the real binary in a subprocess).
+//! (the last two drive the real binary in a subprocess), plus the CLI's
+//! up-front rejection of bad flags and mismatched vectors.
 //!
 //! Telemetry is process-global, so the in-process tests serialize on
 //! [`TEST_LOCK`]; this binary runs in its own process, keeping the global
@@ -222,6 +223,48 @@ fn cli_rejects_unknown_flags_by_name() {
         assert!(!out.status.success(), "{args:?} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn cli_rejects_a_vector_at_another_time_step() {
+    // D1 tiny steps at 10 ps. A vector CSV whose `dt_ps=` header says
+    // 2.5 ps must fail both simulate and predict up front, naming both time
+    // steps and the header, instead of being run at 10 ps.
+    use pdn_wnv::features::normalize::Normalizer;
+    use pdn_wnv::grid::design::{DesignPreset, DesignScale};
+    use pdn_wnv::model::model::{ModelConfig, Predictor, WnvModel};
+    use pdn_wnv::nn::tensor::Tensor;
+    let exe = env!("CARGO_BIN_EXE_pdn");
+    let grid = DesignPreset::D1.spec(DesignScale::Tiny).build(1).expect("grid");
+    let (bumps, tiles) = (grid.bumps().len(), grid.tile_grid());
+    let vector = temp_path("dt-2p5.csv");
+    let row = vec!["1e-3"; grid.loads().len()].join(",");
+    std::fs::write(&vector, format!("# pdn-wnv test-vector, dt_ps=2.5\n{row}\n{row}\n"))
+        .expect("write vector");
+    let model = temp_path("dt-model.pdn");
+    Predictor::from_parts(
+        WnvModel::new(bumps, ModelConfig { c1: 1, c2: 1, c3: 1 }, 1),
+        Tensor::zeros(&[bumps, tiles.rows(), tiles.cols()]),
+        Normalizer::with_scale(1.0),
+        Normalizer::with_scale(1.0),
+        None,
+    )
+    .save_to(&model)
+    .expect("write bundle");
+    let (vector_arg, model_arg) = (vector.to_str().expect("utf-8"), model.to_str().expect("utf-8"));
+    let design: &[&str] = &["--design", "D1", "--scale", "tiny", "--vector", vector_arg];
+    for command in [vec!["simulate"], vec!["predict", "--model", model_arg]] {
+        let args = [&command[..], design].concat();
+        let out = Command::new(exe).args(&args).output().expect("run pdn");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for want in ["time step is 2.5 ps", "steps at 10 ps", "dt_ps="] {
+            assert!(stderr.contains(want), "{args:?}: {stderr}");
+        }
+    }
+    for p in [vector, model] {
+        let _ = std::fs::remove_file(p);
     }
 }
 
