@@ -14,8 +14,8 @@
 //!   and seals checkpoints against torn reads;
 //! * deterministic [`rng`] construction so every experiment is reproducible;
 //! * the process's [`threads`] width (the `PDN_THREADS` override);
-//! * the [`telemetry`] registry — counters, gauges, histograms, scoped
-//!   timers and a JSON-lines sink — that every hot path reports to when
+//! * the [`telemetry`] registry — counters, gauges, histograms, spans
+//!   and a JSON-lines sink — that every hot path reports to when
 //!   `PDN_TELEMETRY` (or the `pdn --telemetry` flag) is set;
 //! * simple [`stats`] helpers (mean, standard deviation, percentile) used by
 //!   the temporal-compression algorithm and the evaluation metrics.

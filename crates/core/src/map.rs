@@ -118,11 +118,6 @@ impl TileMap {
         &mut self.data
     }
 
-    /// Consumes the map and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Value at `(row, col)`, or `None` when out of range.
     pub fn get(&self, row: usize, col: usize) -> Option<f64> {
         if row < self.rows && col < self.cols {

@@ -1,5 +1,5 @@
-//! Process-wide telemetry: counters, gauges, histograms, scoped timers,
-//! hierarchical spans and a JSON-lines event sink.
+//! Process-wide telemetry: counters, gauges, histograms, hierarchical
+//! spans and a JSON-lines event sink.
 //!
 //! The paper's headline claim is a speedup table; reproducing it honestly
 //! requires knowing where wall clock and solver iterations actually go.
@@ -8,16 +8,17 @@
 //! * [`counter_add`] — monotonic `u64` counters (CG iterations, solver
 //!   fallbacks, dropped NaN samples);
 //! * [`gauge_set`] — last-value `f64` gauges (current learning rate);
-//! * [`observe`] / [`observe_duration`] / [`timed`] — log-bucketed
-//!   histograms with count/sum/min/max and approximate percentiles
-//!   (per-step solve times, per-batch losses, batch occupancy);
+//! * [`observe`] / [`observe_duration`] — log-bucketed [`Histogram`]s with
+//!   count/sum/min/max and approximate percentiles (per-step solve times,
+//!   per-batch losses, batch occupancy);
 //! * [`event`] — structured records appended immediately to the JSON-lines
-//!   sink (per-epoch training stats, per-design runtime splits);
-//! * [`span`] / [`span!`](crate::span) — hierarchical scoped wall-clock
-//!   spans with parent/child links (per-thread span stack) and thread
-//!   tagging, written to the sink on drop. Spans are the input to the
-//!   Chrome-trace/Perfetto exporter and `pdn report` (see
-//!   `pdn-eval::tracereport`).
+//!   sink (per-design runtime splits);
+//! * [`span`] — the one way to time a region: hierarchical scoped
+//!   wall-clock spans with parent/child links (per-thread span stack) and
+//!   thread tagging. A closing span records its duration in seconds into
+//!   the histogram of its own name and, with a sink attached, writes one
+//!   span record. Spans are the input to the Chrome-trace/Perfetto
+//!   exporter and `pdn report` (see `pdn-eval::tracereport`).
 //!
 //! # Overhead contract
 //!
@@ -43,7 +44,7 @@
 //! Every line is one JSON object with at least:
 //!
 //! ```json
-//! {"ts_us": 1234, "kind": "event", "name": "train.epoch", ...}
+//! {"ts_us": 1234, "kind": "span", "name": "train.epoch", ...}
 //! ```
 //!
 //! * `ts_us` — microseconds since telemetry was enabled (monotonic clock);
@@ -53,8 +54,9 @@
 //! * further keys are event-specific; span records carry
 //!   `span`/`parent`/`thread`/`start_us`/`dur_us`/`ok` plus any attached
 //!   fields; aggregate records carry `value` (counters, gauges) or
-//!   `count`/`sum`/`min`/`max`/`p50`/`p95`/`p99` (histograms). Non-finite
-//!   floats serialize as `null`.
+//!   `count`/`sum`/`min`/`max`/`p50`/`p95`/`p99` (histograms, see
+//!   [`Histogram::summary`] for the quantile rule). Non-finite floats
+//!   serialize as `null`.
 //!
 //! # Example
 //!
@@ -68,9 +70,11 @@
 //! telemetry::enable();
 //! telemetry::counter_add("demo.widgets", 3);
 //! {
-//!     let _t = telemetry::timed("demo.scope_seconds");
-//! }
+//!     let mut scope = telemetry::span("demo.scope");
+//!     scope.field("widgets", 3u64);
+//! } // the closing span feeds the `demo.scope` histogram (seconds)
 //! assert_eq!(telemetry::counter_value("demo.widgets"), 3);
+//! assert_eq!(telemetry::histogram_summary("demo.scope").unwrap().count, 1);
 //! assert!(telemetry::summary().contains("demo.widgets"));
 //! telemetry::reset(); // back to disabled, metrics cleared
 //! ```
@@ -161,9 +165,9 @@ impl From<String> for Value {
     }
 }
 
-/// Streaming histogram: count/sum/min/max plus log₂ buckets for
-/// approximate percentiles.
-#[derive(Debug, Clone, PartialEq)]
+/// Count/sum/min/max and p50/p95/p99 of one [`Histogram`]: the payload of
+/// a `kind:"histogram"` record.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Number of observations.
     pub count: u64,
@@ -173,11 +177,11 @@ pub struct HistogramSummary {
     pub min: f64,
     /// Largest observation.
     pub max: f64,
-    /// Approximate median (geometric interpolation within the log bucket).
+    /// Approximate median (see [`Histogram::summary`]).
     pub p50: f64,
-    /// Approximate 95th percentile (geometric interpolation).
+    /// Approximate 95th percentile.
     pub p95: f64,
-    /// Approximate 99th percentile (geometric interpolation).
+    /// Approximate 99th percentile.
     pub p99: f64,
 }
 
@@ -192,8 +196,11 @@ impl HistogramSummary {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Histogram {
+/// Streaming histogram: count/sum/min/max plus 64 log₂ buckets for
+/// approximate percentiles. The registry keeps one per metric name, and
+/// `pdn serve`'s rolling SLO windows keep one per one-second slot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Histogram {
     count: u64,
     sum: f64,
     min: f64,
@@ -201,12 +208,21 @@ struct Histogram {
     buckets: [u64; BUCKETS],
 }
 
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram::new()
+    }
+}
+
 impl Histogram {
-    fn new() -> Histogram {
+    /// An empty histogram.
+    pub fn new() -> Histogram {
         Histogram { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY, buckets: [0; BUCKETS] }
     }
 
-    fn record(&mut self, v: f64) {
+    /// Records one observation. Zero, negative and non-finite values land
+    /// in the lowest bucket.
+    pub fn record(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -214,16 +230,23 @@ impl Histogram {
         self.buckets[bucket_of(v)] += 1;
     }
 
-    /// Approximate quantile from the log buckets: locate the bucket holding
-    /// the q-th observation, then interpolate geometrically within its
-    /// `[2^k, 2^(k+1))` range by the observation's rank inside the bucket
-    /// (log-uniform assumption), clamped to observed bounds. For a
-    /// single-observation bucket this degenerates to the geometric midpoint.
+    /// Adds every observation of `other` to this histogram.
+    pub fn merge(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (acc, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *acc += b;
+        }
+    }
+
+    /// Approximate `q`-quantile; the rule is described on [`Self::summary`].
     fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
+        let target = ((q * self.count as f64).floor() as u64 + 1).min(self.count);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             if c == 0 {
@@ -231,18 +254,24 @@ impl Histogram {
             }
             if seen + c >= target {
                 let lo = 2f64.powi(i as i32 - BUCKET_BIAS);
-                // Rank of the target observation inside this bucket, mapped
-                // to (0, 1) with a half-sample midpoint correction.
                 let frac = ((target - seen) as f64 - 0.5) / c as f64;
-                let est = lo * 2f64.powf(frac);
-                return est.clamp(self.min, self.max);
+                // `max`/`min` rather than `clamp`: a histogram of NaNs alone
+                // has min > max, which must not panic a summary.
+                return (lo * 2f64.powf(frac)).max(self.min).min(self.max);
             }
             seen += c;
         }
         self.max
     }
 
-    fn summarize(&self) -> HistogramSummary {
+    /// Count, sum, bounds and p50/p95/p99; an empty histogram reports
+    /// zeros. A quantile's rank is exclusive, `⌊q·n⌋ + 1`: the pessimistic
+    /// SLO convention under which the p99 of 100 samples is the worst one.
+    /// Inside the bucket holding that rank the estimate is interpolated
+    /// geometrically (log-uniform assumption) at the rank's half-sample
+    /// midpoint, then clamped to the observed `[min, max]`, so a
+    /// single-observation histogram reports that observation exactly.
+    pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count,
             sum: self.sum,
@@ -267,7 +296,6 @@ struct State {
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     sink: Option<BufWriter<File>>,
-    sink_lines: u64,
     epoch: Instant,
     summary_written: bool,
 }
@@ -279,9 +307,20 @@ impl State {
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             sink: None,
-            sink_lines: 0,
             epoch: Instant::now(),
             summary_written: false,
+        }
+    }
+
+    /// Records `value` into the histogram `name`, creating it on first use.
+    fn record(&mut self, name: &str, value: f64) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => {
+                let mut h = Histogram::new();
+                h.record(value);
+                self.histograms.insert(name.to_string(), h);
+            }
         }
     }
 
@@ -291,9 +330,7 @@ impl State {
 
     fn write_line(&mut self, line: &str) {
         if let Some(sink) = &mut self.sink {
-            if writeln!(sink, "{line}").is_ok() {
-                self.sink_lines += 1;
-            }
+            let _ = writeln!(sink, "{line}");
         }
     }
 }
@@ -329,7 +366,6 @@ pub fn enable_with_sink(path: &Path) -> std::io::Result<()> {
     let file = File::create(path)?;
     let mut s = lock();
     s.sink = Some(BufWriter::new(file));
-    s.sink_lines = 0;
     s.epoch = Instant::now();
     s.summary_written = false;
     drop(s);
@@ -379,15 +415,6 @@ pub fn reset() {
     *s = State::new();
 }
 
-/// Clears aggregated metrics (counters, gauges, histograms) without
-/// touching the enabled flag or the sink.
-pub fn reset_metrics() {
-    let mut s = lock();
-    s.counters.clear();
-    s.gauges.clear();
-    s.histograms.clear();
-}
-
 /// Adds `delta` to the named monotonic counter. No-op when disabled.
 pub fn counter_add(name: &str, delta: u64) {
     if !enabled() {
@@ -432,15 +459,7 @@ pub fn observe(name: &str, value: f64) {
     if !enabled() {
         return;
     }
-    let mut s = lock();
-    match s.histograms.get_mut(name) {
-        Some(h) => h.record(value),
-        None => {
-            let mut h = Histogram::new();
-            h.record(value);
-            s.histograms.insert(name.to_string(), h);
-        }
-    }
+    lock().record(name, value);
 }
 
 /// Records a duration (seconds) into the named histogram. No-op when
@@ -454,37 +473,7 @@ pub fn observe_duration(name: &str, d: Duration) {
 
 /// Summary of the named histogram, if any observations were recorded.
 pub fn histogram_summary(name: &str) -> Option<HistogramSummary> {
-    lock().histograms.get(name).map(Histogram::summarize)
-}
-
-/// A scoped wall-clock timer: records the elapsed time into the named
-/// histogram (seconds) when dropped. When telemetry is disabled at
-/// construction, the guard holds no clock reading and drop is free.
-#[derive(Debug)]
-#[must_use = "the timer records on drop; binding to `_` drops it immediately"]
-pub struct ScopedTimer {
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl ScopedTimer {
-    /// Elapsed time so far, if the timer is live.
-    pub fn elapsed(&self) -> Option<Duration> {
-        self.start.map(|s| s.elapsed())
-    }
-}
-
-impl Drop for ScopedTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            observe_duration(self.name, start.elapsed());
-        }
-    }
-}
-
-/// Starts a scoped timer feeding the named histogram.
-pub fn timed(name: &'static str) -> ScopedTimer {
-    ScopedTimer { name, start: enabled().then(Instant::now) }
+    lock().histograms.get(name).map(Histogram::summary)
 }
 
 // ---------------------------------------------------------------------------
@@ -525,15 +514,17 @@ struct SpanLive {
     fields: Vec<(String, Value)>,
 }
 
-/// A hierarchical scoped span.
+/// A hierarchical scoped span: the one way to time a region.
 ///
 /// Opening a span (when telemetry is enabled) pushes its id onto a
 /// thread-local stack, making it the parent of any span opened on the same
-/// thread before it closes. Dropping the guard pops the stack and appends
-/// one `kind:"span"` record to the JSON-lines sink carrying
-/// `span`/`parent`/`thread`/`start_us`/`dur_us`/`ok` plus any attached
-/// fields. A span dropped during a panic unwind records `ok:false`, so the
-/// sink still explains *where* a run died.
+/// thread before it closes. Dropping the guard pops the stack, records the
+/// duration in seconds into the registry histogram named like the span
+/// (so the summary table, the summary records and Prometheus all carry
+/// it), and, with a sink attached, appends one `kind:"span"` record
+/// carrying `span`/`parent`/`thread`/`start_us`/`dur_us`/`ok` plus any
+/// attached fields. A span dropped during a panic unwind records
+/// `ok:false`, so the sink still explains *where* a run died.
 ///
 /// When telemetry is disabled at construction the guard is inert: no
 /// allocation, no clock read, no thread-local touch — the entire cost is
@@ -590,7 +581,8 @@ impl Drop for Span {
         let Some(live) = self.live.take() else {
             return;
         };
-        let dur = live.start.elapsed();
+        let end = Instant::now();
+        let dur = end.duration_since(live.start);
         // Pop this span from the thread's stack. RAII scoping makes the top
         // of the stack ours; remove by id anyway so a leaked/reordered guard
         // cannot corrupt ancestry for unrelated spans.
@@ -605,10 +597,14 @@ impl Drop for Span {
         }
         let ok = live.ok && !std::thread::panicking();
         let mut s = lock();
+        s.record(&live.name, dur.as_secs_f64());
         if s.sink.is_none() {
             return;
         }
-        let end_us = s.ts_us();
+        // Stamp the record from the span's own end reading, not from when
+        // the lock was won: waiting behind other recorders must not shift
+        // a span later than the spans it encloses.
+        let end_us = end.saturating_duration_since(s.epoch).as_micros();
         let dur_us = dur.as_micros();
         let start_us = end_us.saturating_sub(dur_us);
         let mut line = String::with_capacity(160);
@@ -644,8 +640,8 @@ impl Drop for Span {
     }
 }
 
-/// Opens a hierarchical span named `name`. See [`Span`] for semantics; the
-/// [`span!`](crate::span) macro adds field-attaching sugar.
+/// Opens a hierarchical span named `name`; attach fields with
+/// [`Span::field`]. See [`Span`] for semantics.
 pub fn span(name: &str) -> Span {
     if !enabled() {
         return Span { live: None };
@@ -766,7 +762,7 @@ fn aggregate_records(s: &State) -> Vec<String> {
         lines.push(line);
     }
     for (name, hist) in &s.histograms {
-        let h = hist.summarize();
+        let h = hist.summary();
         let mut line = String::with_capacity(128);
         let _ = write!(line, "{{\"ts_us\":{ts},\"kind\":\"histogram\",\"name\":");
         let _ = write_json_str(&mut line, name);
@@ -921,11 +917,6 @@ pub fn flush() {
     }
 }
 
-/// Number of lines written to the sink so far (tests and sanity checks).
-pub fn sink_line_count() -> u64 {
-    lock().sink_lines
-}
-
 /// Human-readable summary table of every aggregated metric.
 pub fn summary() -> String {
     let s = lock();
@@ -954,7 +945,7 @@ pub fn summary() -> String {
             "", "count", "mean", "min", "p50", "p95", "p99", "total"
         );
         for (name, hist) in &s.histograms {
-            let h = hist.summarize();
+            let h = hist.summary();
             let _ = writeln!(
                 out,
                 "    {name:<42} {:>8} {:>11.4e} {:>11.4e} {:>11.4e} {:>11.4e} {:>11.4e} {:>11.4e}",
@@ -969,30 +960,6 @@ pub fn summary() -> String {
         }
     }
     out
-}
-
-/// Opens a hierarchical telemetry span with optional fields, returning the
-/// guard. Exported at the crate root (`pdn_core::span!`).
-///
-/// ```
-/// use pdn_core::telemetry;
-/// telemetry::enable();
-/// {
-///     let _outer = pdn_core::span!("train.epoch", "epoch" => 3u64);
-///     let _inner = pdn_core::span!("train.batch");
-/// } // records close in reverse order, linked parent → child
-/// telemetry::reset();
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::telemetry::span($name)
-    };
-    ($name:expr, $($key:literal => $value:expr),+ $(,)?) => {{
-        let mut __span = $crate::telemetry::span($name);
-        $( __span.field($key, $value); )+
-        __span
-    }};
 }
 
 /// Writes `s` as a JSON string literal, quotes included, with the escapes
@@ -1062,14 +1029,14 @@ mod tests {
         counter_add("t.counter", 5);
         gauge_set("t.gauge", 1.5);
         observe("t.histo", 2.0);
-        let timer = timed("t.timer");
-        assert!(timer.elapsed().is_none(), "disabled timer must not read the clock");
-        drop(timer);
+        let sp = span("t.span");
+        assert!(sp.elapsed().is_none(), "disabled span must not read the clock");
+        drop(sp);
         event("t.event", &[("k", 1u64.into())]);
         assert_eq!(counter_value("t.counter"), 0);
         assert_eq!(gauge_value("t.gauge"), None);
         assert!(histogram_summary("t.histo").is_none());
-        assert!(histogram_summary("t.timer").is_none());
+        assert!(histogram_summary("t.span").is_none());
     }
 
     #[test]
@@ -1121,19 +1088,52 @@ mod tests {
         reset();
     }
 
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let _g = test_guard();
-        reset();
-        enable();
-        {
-            let _t = timed("t.scope_seconds");
-            std::thread::sleep(Duration::from_millis(2));
+    /// Opens and closes three `t.feed` spans, returning the `dur_us` of
+    /// each span record the sink got (none without a sink).
+    fn close_three_spans(sink: Option<&Path>) -> Vec<u64> {
+        if let Some(path) = sink {
+            enable_with_sink(path).unwrap();
         }
-        let h = histogram_summary("t.scope_seconds").unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 0.001, "timer recorded {}", h.sum);
+        for i in 0..3u64 {
+            let mut sp = span("t.feed");
+            sp.field("i", i);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        flush();
+        let Some(path) = sink else { return Vec::new() };
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).ok();
+        let dur_us = |l: &str| -> u64 {
+            l.split("\"dur_us\":").nth(1).unwrap().split(',').next().unwrap().parse().unwrap()
+        };
+        text.lines().filter(|l| l.contains("\"name\":\"t.feed\"")).map(dur_us).collect()
+    }
+
+    #[test]
+    fn closing_span_feeds_its_histogram() {
+        let _g = test_guard();
+        // Disabled: no histogram.
         reset();
+        close_three_spans(None);
+        assert!(histogram_summary("t.feed").is_none());
+        // Enabled without a sink: the histogram alone.
+        enable();
+        close_three_spans(None);
+        let h = histogram_summary("t.feed").expect("span histogram without a sink");
+        assert_eq!(h.count, 3);
+        assert!(h.min >= 0.001, "a 1 ms span recorded {} s", h.min);
+        // With a sink: the histogram matches the span records it wrote.
+        reset();
+        let path = std::env::temp_dir().join(format!("pdn_span_feed_{}.jsonl", std::process::id()));
+        let durs = close_three_spans(Some(&path));
+        let h = histogram_summary("t.feed").expect("span histogram with a sink");
+        reset();
+        assert_eq!(durs.len(), 3);
+        assert_eq!(h.count, 3);
+        // Records carry whole microseconds; the histogram the unrounded
+        // seconds, so each of the three may be up to 1 µs more.
+        let records_s = durs.iter().sum::<u64>() as f64 * 1e-6;
+        assert!(h.sum >= records_s && h.sum < records_s + 3e-6, "sum {} vs {records_s}", h.sum);
     }
 
     #[test]
@@ -1152,9 +1152,14 @@ mod tests {
     #[test]
     fn buckets_cover_extremes() {
         assert_eq!(bucket_of(0.0), 0);
+        assert_eq!(bucket_of(-0.0), 0);
         assert_eq!(bucket_of(-1.0), 0);
         assert_eq!(bucket_of(f64::NAN), 0);
         assert_eq!(bucket_of(f64::INFINITY), 0);
+        // Subnormals and the smallest normal are positive, so they take the
+        // log₂ path (log₂ as low as -1074) and must clamp, not wrap.
+        assert_eq!(bucket_of(5e-324), 0);
+        assert_eq!(bucket_of(f64::MIN_POSITIVE), 0);
         assert!(bucket_of(1e-300) < BUCKETS);
         assert_eq!(bucket_of(1e300), BUCKETS - 1);
         // Monotone over the covered range.
@@ -1171,7 +1176,7 @@ mod tests {
         for v in 1..=100 {
             h.record(v as f64);
         }
-        let s = h.summarize();
+        let s = h.summary();
         assert!((s.p50 - 50.5).abs() / 50.5 < 0.25, "p50 {}", s.p50);
         assert!((s.p95 - 95.0).abs() / 95.0 < 0.25, "p95 {}", s.p95);
         assert!((s.p99 - 99.0).abs() / 99.0 < 0.25, "p99 {}", s.p99);
@@ -1185,7 +1190,7 @@ mod tests {
         for _ in 0..50 {
             h.record(7.0);
         }
-        let s = h.summarize();
+        let s = h.summary();
         assert_eq!(s.p50, 7.0);
         assert_eq!(s.p95, 7.0);
         assert_eq!(s.p99, 7.0);
@@ -1199,16 +1204,56 @@ mod tests {
         for k in 0..10 {
             h.record(2f64.powi(k));
         }
-        let s = h.summarize();
-        let true_p50 = 2f64.powi(4); // 5th of 10 observations
+        let s = h.summary();
+        // Exclusive rank ⌊0.5·10⌋ + 1: the 6th of 10 observations.
+        let true_p50 = 2f64.powi(5);
         assert!(s.p50 / true_p50 < 2.0 && true_p50 / s.p50 < 2.0, "p50 {}", s.p50);
         assert!(s.p99 <= s.max && s.p99 >= 2f64.powi(8), "p99 {}", s.p99);
     }
 
     #[test]
+    fn p99_is_pessimistic() {
+        // 99 fast samples and one slow one: under the exclusive rank the
+        // p99 of 100 samples is the worst sample, so the tail shows.
+        let mut h = Histogram::new();
+        for _ in 0..99 {
+            h.record(0.001);
+        }
+        h.record(2.0);
+        let s = h.summary();
+        assert!(s.p50 < 0.003, "p50 {}", s.p50);
+        assert!(s.p99 >= 1.0 && s.p99 <= 2.0, "p99 {}", s.p99);
+    }
+
+    #[test]
+    fn merge_equals_recording_everything_into_one() {
+        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for i in 1..=40 {
+            let v = i as f64 * 0.375; // exact in binary, so sums do not depend on order
+            if i % 3 == 0 { &mut a } else { &mut b }.record(v);
+            all.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(a.summary(), all.summary());
+        a.merge(&Histogram::new());
+        assert_eq!(a, all, "merging an empty histogram changes nothing");
+    }
+
+    #[test]
+    fn non_finite_only_histogram_summarizes_without_panicking() {
+        let mut h = Histogram::new();
+        h.record(f64::NAN);
+        let s = h.summary();
+        assert_eq!(s.count, 1);
+        // Nothing finite was observed, so no quantile is finite either (the
+        // sink writes them as null).
+        assert!(!s.p50.is_finite() && !s.p99.is_finite(), "{s:?}");
+    }
+
+    #[test]
     fn quantiles_of_empty_histogram_are_zero() {
         let h = Histogram::new();
-        let s = h.summarize();
+        let s = h.summary();
         assert_eq!(s.count, 0);
         assert_eq!(s.sum, 0.0);
         assert_eq!((s.min, s.max), (0.0, 0.0), "empty histogram reports 0 bounds");
@@ -1223,7 +1268,7 @@ mod tests {
         for v in [1e-9, 0.37, 1.0, 700.0] {
             let mut h = Histogram::new();
             h.record(v);
-            let s = h.summarize();
+            let s = h.summary();
             assert_eq!(s.count, 1);
             assert_eq!((s.p50, s.p95, s.p99), (v, v, v), "single sample {v}");
         }
@@ -1238,7 +1283,7 @@ mod tests {
         for i in 0..20 {
             h.record(0.30 + i as f64 * 0.01);
         }
-        let s = h.summarize();
+        let s = h.summary();
         assert_eq!(bucket_of(s.min), bucket_of(s.max), "test premise: one bucket");
         assert!(s.min == 0.30 && (s.max - 0.49).abs() < 1e-12);
         assert!(s.p50 >= s.min && s.p50 <= s.max, "p50 {}", s.p50);
@@ -1255,7 +1300,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(bucket_of(1e280), BUCKETS - 1);
-        let s = h.summarize();
+        let s = h.summary();
         assert!(s.p50.is_finite() && s.p99.is_finite());
         assert!(s.p50 >= 1e280 && s.p99 <= 1e300);
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99);
@@ -1266,7 +1311,7 @@ mod tests {
             h.record(1.0);
         }
         h.record(1e300);
-        let s = h.summarize();
+        let s = h.summary();
         assert!(s.p50 < 2.0, "p50 {} must stay in the [1,2) bucket", s.p50);
         assert!(s.p99 <= 1e300 && s.p99 >= 1.0);
     }
@@ -1370,7 +1415,8 @@ mod tests {
             outer_id = outer.id().unwrap();
             assert_eq!(current_span_id(), Some(outer_id));
             {
-                let mut inner = crate::span!("t.inner", "step" => 3u64);
+                let mut inner = span("t.inner");
+                inner.field("step", 3u64);
                 inner_id = inner.id().unwrap();
                 assert_eq!(current_span_id(), Some(inner_id));
                 inner.set_ok(false);

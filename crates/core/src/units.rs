@@ -181,13 +181,6 @@ impl Volts {
     }
 }
 
-impl Amps {
-    /// Converts to milliamps.
-    pub fn to_milliamps(self) -> f64 {
-        self.0 * 1e3
-    }
-}
-
 impl Seconds {
     /// Creates a time from picoseconds (the paper uses `Δt = 1 ps`).
     pub fn from_picos(ps: f64) -> Seconds {

@@ -10,10 +10,11 @@
 //! batch (or one multi-RHS transient group).
 //!
 //! Telemetry per batch (under the batcher's name prefix):
-//! `<name>.batch_width` / `.queue_wait_seconds` / `.compute_seconds`
-//! histograms, `<name>.requests` / `.batches` counters, and a
-//! `<name>.batch` span carrying the width, so `pdn report` renders server
-//! traces with no special cases.
+//! `<name>.batch_width` / `.queue_wait_seconds` histograms,
+//! `<name>.requests` / `.batches` counters, and a `<name>.batch` span
+//! around the processor call carrying the width, whose histogram is the
+//! batch compute time, so `pdn report` renders server traces with no
+//! special cases.
 
 use pdn_core::telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,6 +160,8 @@ fn run<Req, Resp>(
 
         let width = jobs.len();
         stats.record(width);
+        telemetry::observe(&format!("{name}.batch_width"), width as f64);
+        let started = Instant::now();
         let mut span = telemetry::span(&format!("{name}.batch"));
         span.field("width", width as u64);
         if jobs.iter().any(|j| !j.request_id.is_empty()) {
@@ -172,8 +175,6 @@ fn run<Req, Resp>(
             }
             span.field("request_ids", joined.as_str());
         }
-        telemetry::observe(&format!("{name}.batch_width"), width as f64);
-        let started = Instant::now();
         let queue_us: Vec<u64> = jobs
             .iter()
             .map(|j| {
@@ -191,8 +192,8 @@ fn run<Req, Resp>(
         }
         let results = process(requests);
         assert_eq!(results.len(), width, "batch processor must answer every job");
+        drop(span);
         let compute_us = started.elapsed().as_micros() as u64;
-        telemetry::observe(&format!("{name}.compute_seconds"), compute_us as f64 * 1e-6);
         telemetry::counter_add(&format!("{name}.requests"), width as u64);
         telemetry::counter_add(&format!("{name}.batches"), 1);
 

@@ -101,8 +101,16 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
         headers.push((name, value.to_string()));
     }
 
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // Grow the body as its bytes arrive: a client that announces 16 MiB
+    // and sends nothing costs nothing.
+    let mut body = Vec::new();
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(bad(format!(
+            "connection closed after {} of {content_length} body bytes",
+            body.len()
+        )));
+    }
     Ok(Some(Request { method, path, query, headers, body }))
 }
 
@@ -224,7 +232,8 @@ mod tests {
             format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
         assert!(read_request(&mut BufReader::new(oversized.as_bytes())).is_err());
         let truncated = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(read_request(&mut BufReader::new(&truncated[..])).is_err());
+        let err = read_request(&mut BufReader::new(&truncated[..])).unwrap_err();
+        assert!(err.to_string().contains("after 3 of 10 body bytes"), "{err}");
     }
 
     #[test]

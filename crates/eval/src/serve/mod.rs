@@ -344,12 +344,6 @@ impl Server {
         &self.ctx.as_ref().expect("server running").stats
     }
 
-    /// Signals shutdown without blocking (safe from a signal-watching
-    /// loop); [`Server::shutdown`] still must run for the clean join.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
     /// Stops accepting, drains in-flight connections, and joins every
     /// thread. In-flight requests are answered before their workers exit.
     pub fn shutdown(mut self) {
@@ -429,11 +423,45 @@ fn acceptable_client_id(id: &str) -> bool {
         && id.bytes().all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'))
 }
 
+/// Longest a client may take to send one whole request, counted from the
+/// moment a worker takes the connection. A timeout per read alone would
+/// let a client that sends a byte just inside it hold the worker through
+/// every head line and the whole body.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+
+/// A socket reader that holds every read to one deadline: before each read
+/// the socket's timeout is set to the time left.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl io::Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let expired =
+            || io::Error::new(io::ErrorKind::TimedOut, "request not complete within the deadline");
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(expired());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        match self.stream.read(buf) {
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                Err(expired())
+            }
+            read => read,
+        }
+    }
+}
+
+/// Reads one request from `stream`, all of it before `deadline`.
+fn read_request_by(stream: &TcpStream, deadline: Instant) -> io::Result<Option<http::Request>> {
+    let stream = stream.try_clone()?;
+    http::read_request(&mut BufReader::new(DeadlineReader { stream, deadline }))
+}
+
 fn handle_connection(stream: TcpStream, ctx: &Ctx) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let request = match http::read_request(&mut reader) {
+    let request = match read_request_by(&stream, Instant::now() + REQUEST_DEADLINE) {
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(e) => {
@@ -444,7 +472,12 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
         }
     };
 
+    // The route span is the request's latency: its histogram
+    // `serve.route.<route>` covers routing and the response write, what
+    // the client saw.
     let accepted = Instant::now();
+    let label = route_label(&request.path);
+    let mut span = telemetry::span(&format!("serve.route.{label}"));
     ctx.in_flight.fetch_add(1, Ordering::Relaxed);
     ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
     telemetry::counter_add("serve.requests", 1);
@@ -457,9 +490,6 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
             ctx.rid_seq.fetch_add(1, Ordering::Relaxed) + 1
         ),
     };
-    let label = route_label(&request.path);
-
-    let mut span = telemetry::span("serve.request");
     span.field("method", request.method.as_str());
     span.field("path", request.path.as_str());
     span.field("request_id", request_id.as_str());
@@ -485,15 +515,12 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
         &extra,
         routed.body.as_bytes(),
     );
+    drop(span);
 
-    // Account the full request (including the response write) so tail
-    // percentiles reflect what the client saw.
     let total = accepted.elapsed();
-    let total_s = total.as_secs_f64();
-    telemetry::observe(&format!("serve.route.{label}.latency_seconds"), total_s);
     ctx.windows
         .get(label)
-        .record(ctx.started.elapsed().as_secs(), total_s, routed.status >= 400);
+        .record(ctx.started.elapsed().as_secs(), total.as_secs_f64(), routed.status >= 400);
     ctx.in_flight.fetch_sub(1, Ordering::Relaxed);
 
     if let Some(log) = &ctx.access_log {
@@ -719,4 +746,42 @@ fn health_json(ctx: &Ctx) -> String {
         ctx.stats.errors.load(Ordering::Relaxed),
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_trickling_client_is_cut_off_at_the_request_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let client = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                // One byte every 20 ms, far inside any per-read timeout,
+                // of a request line that never ends.
+                let mut stream = TcpStream::connect(addr).unwrap();
+                for &b in b"GET /".iter().chain(std::iter::repeat(&b'a')) {
+                    if done.load(Ordering::SeqCst) || stream.write_all(&[b]).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            })
+        };
+        let (stream, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let err = read_request_by(&stream, start + Duration::from_millis(300)).unwrap_err();
+        let waited = start.elapsed();
+        done.store(true, Ordering::SeqCst);
+        drop(stream);
+        client.join().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            waited >= Duration::from_millis(300) && waited < Duration::from_secs(5),
+            "cut off after {waited:?}"
+        );
+    }
 }

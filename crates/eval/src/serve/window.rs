@@ -13,64 +13,20 @@
 //! clock so tests can drive decay deterministically; the server passes
 //! `started.elapsed().as_secs()`.
 
+use pdn_core::telemetry::Histogram;
 use std::sync::Mutex;
 
 /// Ring size: one slot per second, so the window spans ~60 s.
 pub const SLOTS: usize = 60;
 
-/// Latency histogram buckets. Bucket `i` covers
-/// `[2^(i-BIAS), 2^(i-BIAS+1))` seconds: bucket 0 starts at ~1 ns
-/// (2⁻³⁰ s) and the top bucket ends at ~17 min (2¹⁰ s), which brackets
-/// any plausible HTTP request latency.
-const BUCKETS: usize = 40;
-const BIAS: i32 = 30;
-
-fn bucket_of(latency_s: f64) -> usize {
-    // NaN and non-positive values land in bucket 0: a request measured
-    // below timer resolution reports 0 ns, and `log2(0) = -inf` would
-    // otherwise poison the cast. Subnormals (log2 as low as -1074) are
-    // positive, so they take the log path and rely on the clamp below.
-    if latency_s.is_nan() || latency_s <= 0.0 {
-        return 0;
-    }
-    let i = latency_s.log2().floor() as i64 + BIAS as i64;
-    i.clamp(0, BUCKETS as i64 - 1) as usize
-}
-
 struct Slot {
     /// Tick this slot's contents belong to. A slot is live in a
     /// snapshot at `now` iff `tick <= now && now - tick < SLOTS`.
     tick: u64,
-    count: u64,
     errors: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: [u64; BUCKETS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            tick: 0,
-            count: 0,
-            errors: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            buckets: [0; BUCKETS],
-        }
-    }
-
-    fn reset(&mut self, tick: u64) {
-        self.tick = tick;
-        self.count = 0;
-        self.errors = 0;
-        self.sum = 0.0;
-        self.min = f64::INFINITY;
-        self.max = f64::NEG_INFINITY;
-        self.buckets = [0; BUCKETS];
-    }
+    /// Request latencies in seconds (the registry's histogram type, so
+    /// the windows and `/metrics` share one bucket map and quantile rule).
+    latency: Histogram,
 }
 
 /// Point-in-time aggregate over the live sub-windows.
@@ -102,67 +58,62 @@ pub struct RollingWindow {
 
 impl RollingWindow {
     pub fn new() -> RollingWindow {
-        RollingWindow { slots: (0..SLOTS).map(|_| Mutex::new(Slot::new())).collect() }
+        RollingWindow {
+            slots: (0..SLOTS)
+                .map(|_| Mutex::new(Slot { tick: 0, errors: 0, latency: Histogram::new() }))
+                .collect(),
+        }
     }
 
     /// Record one finished request at `now_tick` seconds since start.
+    /// A non-finite or negative latency counts as 0 s.
     pub fn record(&self, now_tick: u64, latency_s: f64, is_error: bool) {
         let mut slot = self.slots[(now_tick % SLOTS as u64) as usize]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         if slot.tick != now_tick {
-            slot.reset(now_tick);
+            *slot = Slot { tick: now_tick, errors: 0, latency: Histogram::new() };
         }
-        slot.count += 1;
         if is_error {
             slot.errors += 1;
         }
         let v = if latency_s.is_finite() && latency_s > 0.0 { latency_s } else { 0.0 };
-        slot.sum += v;
-        slot.min = slot.min.min(v);
-        slot.max = slot.max.max(v);
-        slot.buckets[bucket_of(v)] += 1;
+        slot.latency.record(v);
     }
 
     /// Aggregate every sub-window still inside the horizon at
     /// `now_tick`. Traffic older than [`SLOTS`] seconds has either been
     /// overwritten by a fresher second or is skipped by the staleness
     /// check, so the snapshot decays to [`WindowSnapshot::empty`] once
-    /// the horizon passes.
+    /// the horizon passes. Quantiles follow the registry's rule: the
+    /// exclusive rank `⌊q·n⌋ + 1`, so the p99 of 100 requests is the
+    /// slowest one.
     pub fn snapshot(&self, now_tick: u64) -> WindowSnapshot {
-        let mut count = 0u64;
         let mut errors = 0u64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut buckets = [0u64; BUCKETS];
+        let mut latency = Histogram::new();
         for m in &self.slots {
             let slot = m.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.count == 0 || slot.tick > now_tick || now_tick - slot.tick >= SLOTS as u64 {
+            if slot.tick > now_tick || now_tick - slot.tick >= SLOTS as u64 {
                 continue;
             }
-            count += slot.count;
             errors += slot.errors;
-            min = min.min(slot.min);
-            max = max.max(slot.max);
-            for (acc, b) in buckets.iter_mut().zip(slot.buckets.iter()) {
-                *acc += b;
-            }
+            latency.merge(&slot.latency);
         }
-        if count == 0 {
+        let h = latency.summary();
+        if h.count == 0 {
             return WindowSnapshot::empty();
         }
         // Average over the seconds that have actually elapsed so a
         // young server doesn't report 1/60th of its true rate.
         let span = (SLOTS as u64).min(now_tick + 1) as f64;
-        let quantile = |q: f64| quantile_from_buckets(&buckets, count, min, max, q);
         WindowSnapshot {
-            count,
+            count: h.count,
             errors,
-            qps: count as f64 / span,
-            error_rate: errors as f64 / count as f64,
-            p50: quantile(0.50),
-            p95: quantile(0.95),
-            p99: quantile(0.99),
+            qps: h.count as f64 / span,
+            error_rate: errors as f64 / h.count as f64,
+            p50: h.p50,
+            p95: h.p95,
+            p99: h.p99,
         }
     }
 }
@@ -171,30 +122,6 @@ impl Default for RollingWindow {
     fn default() -> Self {
         RollingWindow::new()
     }
-}
-
-/// Approximate quantile from merged log₂ buckets: walk to the bucket
-/// holding the target rank, interpolate geometrically inside it
-/// (log-uniform assumption), and clamp to the observed `[min, max]` so
-/// single-sample and one-bucket windows report honest values.
-fn quantile_from_buckets(buckets: &[u64; BUCKETS], count: u64, min: f64, max: f64, q: f64) -> f64 {
-    // Exclusive rank (⌊q·n⌋ + 1): the pessimistic SLO convention, under
-    // which the p99 of 100 samples is the worst sample, not the 99th.
-    let target = ((q * count as f64).floor() as u64 + 1).min(count);
-    let mut cumulative = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if cumulative + c >= target {
-            let lower = 2f64.powi(i as i32 - BIAS);
-            let frac = (target - cumulative) as f64 / c as f64;
-            let v = lower * 2f64.powf(frac);
-            return v.clamp(min, max);
-        }
-        cumulative += c;
-    }
-    max
 }
 
 #[cfg(test)]
@@ -291,12 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_duration_lands_in_the_lowest_bucket() {
+    fn zero_duration_keeps_the_snapshot_finite() {
         // A request measured below timer resolution (0 ns) must not
-        // produce -inf out of the log2 mapping; it belongs in bucket 0
-        // and the snapshot must stay finite.
-        assert_eq!(bucket_of(0.0), 0);
-        assert_eq!(bucket_of(-0.0), 0);
+        // produce -inf out of the log2 mapping; the snapshot must stay
+        // finite.
         let w = RollingWindow::new();
         w.record(0, 0.0, false);
         w.record(0, 0.010, false);
@@ -307,20 +232,16 @@ mod tests {
     }
 
     #[test]
-    fn subnormal_durations_land_in_the_lowest_bucket() {
-        // Subnormals are positive, so they pass the <= 0 guard and take
-        // the log2 path: f64::MIN_POSITIVE has log2 ≈ -1022, far below
-        // the bucket range, and must clamp to bucket 0 instead of
-        // wrapping the index.
-        for v in [f64::MIN_POSITIVE, 5e-324, 1e-310] {
-            assert!(v > 0.0 && v < 1e-300);
-            assert_eq!(bucket_of(v), 0, "bucket for {v:e}");
-        }
+    fn subnormal_durations_keep_the_snapshot_finite() {
+        // Subnormals are positive, so they take the log2 path, far below
+        // the bucket range (the registry's `buckets_cover_extremes` pins
+        // their bucket).
         let w = RollingWindow::new();
         w.record(0, 5e-324, false);
         w.record(0, f64::MIN_POSITIVE, false);
+        w.record(0, -0.0, false);
         let s = w.snapshot(0);
-        assert_eq!(s.count, 2);
+        assert_eq!(s.count, 3);
         assert!(s.p50.is_finite() && s.p99.is_finite());
     }
 

@@ -17,7 +17,7 @@
 //!   simulate-vs-predict speedup table, and an A-vs-B regression diff.
 
 use crate::jsonl::{self, Json};
-use pdn_core::telemetry::write_json_str;
+use pdn_core::telemetry::{write_json_str, HistogramSummary};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -54,36 +54,6 @@ pub struct EventRec {
     pub fields: BTreeMap<String, Json>,
 }
 
-/// One `kind:"histogram"` summary record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistRec {
-    /// Observation count.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Approximate median.
-    pub p50: f64,
-    /// Approximate 95th percentile (absent in pre-0.4 sinks → NaN).
-    pub p95: f64,
-    /// Approximate 99th percentile.
-    pub p99: f64,
-}
-
-impl HistRec {
-    /// Mean observation (0 for an empty histogram).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// A parsed telemetry sink file.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryLog {
@@ -95,8 +65,8 @@ pub struct TelemetryLog {
     pub counters: BTreeMap<String, u64>,
     /// Final gauge values.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries.
-    pub histograms: BTreeMap<String, HistRec>,
+    /// Histogram summaries (a field absent from the record reads NaN).
+    pub histograms: BTreeMap<String, HistogramSummary>,
 }
 
 fn get_f64(obj: &BTreeMap<String, Json>, key: &str) -> Option<f64> {
@@ -183,7 +153,7 @@ impl TelemetryLog {
                 "histogram" => {
                     log.histograms.insert(
                         name,
-                        HistRec {
+                        HistogramSummary {
                             count: obj
                                 .get("count")
                                 .and_then(Json::as_u64)
@@ -239,26 +209,12 @@ impl TelemetryLog {
         self.events.iter().filter(move |e| e.name == name)
     }
 
-    /// The `cli.command` event, if present: `(command, seconds, ok)`.
-    pub fn command_event(&self) -> Option<(&str, f64, bool)> {
-        let ev = self.events_named("cli.command").last()?;
-        Some((
-            ev.fields.get("command").and_then(Json::as_str).unwrap_or("?"),
-            get_f64(&ev.fields, "seconds").unwrap_or(f64::NAN),
-            ev.fields.get("ok").and_then(Json::as_bool).unwrap_or(true),
-        ))
-    }
-
-    /// Duration of the longest root span, in seconds — for a CLI run this
-    /// is the `cli.<command>` span covering the whole command.
-    pub fn root_span_seconds(&self) -> Option<f64> {
-        let known: std::collections::BTreeSet<u64> = self.spans.iter().map(|s| s.id).collect();
-        self.spans
-            .iter()
-            .filter(|s| s.parent.is_none_or(|p| !known.contains(&p)))
-            .map(|s| s.dur_us)
-            .max()
-            .map(|us| us as f64 / 1e6)
+    /// The command of a CLI run, from its root `cli.<command>` span:
+    /// `(command, seconds, ok)`.
+    pub fn command(&self) -> Option<(&str, f64, bool)> {
+        let root =
+            self.spans.iter().rev().find(|s| s.parent.is_none() && s.name.starts_with("cli."))?;
+        Some((&root.name["cli.".len()..], root.dur_us as f64 / 1e6, root.ok))
     }
 
     /// Serializes the log's spans and events as a Chrome-trace JSON string
@@ -399,13 +355,6 @@ pub struct StageNode {
     pub all_ok: bool,
     /// Child stages, ordered by descending total.
     pub children: Vec<StageNode>,
-}
-
-impl StageNode {
-    /// Total wall-clock in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.total_us as f64 / 1e6
-    }
 }
 
 /// Builds the aggregated span tree of a log: spans are grouped by name at
@@ -600,23 +549,12 @@ pub fn report(
         run.counters.len(),
         run.histograms.len()
     );
-    if let Some((command, seconds, ok)) = run.command_event() {
+    if let Some((command, seconds, ok)) = run.command() {
         let _ = writeln!(
             md,
             "- command: `{command}` — {seconds:.4} s, {}",
             if ok { "ok" } else { "**failed**" }
         );
-        if let Some(root_s) = run.root_span_seconds() {
-            let delta = if seconds > 0.0 {
-                100.0 * (root_s - seconds).abs() / seconds
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                md,
-                "- root span: {root_s:.4} s ({delta:.1}% off the command wall clock)"
-            );
-        }
     }
     let _ = writeln!(md);
 
@@ -656,7 +594,7 @@ pub fn report(
     }
 
     // --- training -------------------------------------------------------
-    let epochs: Vec<&EventRec> = run.events_named("train.epoch").collect();
+    let epochs: Vec<&SpanRec> = run.spans.iter().filter(|s| s.name == "train.epoch").collect();
     if !epochs.is_empty() {
         let train: Vec<f64> =
             epochs.iter().map(|e| get_f64(&e.fields, "train_loss").unwrap_or(f64::NAN)).collect();
@@ -734,7 +672,7 @@ pub fn report(
             for b in batchers {
                 let width = &run.histograms[&format!("{b}.batch_width")];
                 let queue = run.histograms.get(&format!("{b}.queue_wait_seconds"));
-                let compute = run.histograms.get(&format!("{b}.compute_seconds"));
+                let compute = run.histograms.get(&format!("{b}.batch"));
                 let _ = writeln!(
                     md,
                     "| {b} | {} | {} | {} | {} | {} | {} | {} | {} |",
@@ -751,16 +689,12 @@ pub fn report(
             let _ = writeln!(md);
         }
 
-        // Per-route latency, keyed off the serve.route.<route>.latency_seconds
-        // histograms the connection workers record.
-        let routes: Vec<(&str, &HistRec)> = run
+        // Per-route latency, from the histograms of the connection
+        // workers' `serve.route.<route>` spans.
+        let routes: Vec<(&str, &HistogramSummary)> = run
             .histograms
             .iter()
-            .filter_map(|(name, h)| {
-                name.strip_prefix("serve.route.")
-                    .and_then(|rest| rest.strip_suffix(".latency_seconds"))
-                    .map(|route| (route, h))
-            })
+            .filter_map(|(name, h)| name.strip_prefix("serve.route.").map(|route| (route, h)))
             .collect();
         if !routes.is_empty() {
             let _ = writeln!(md, "| route | requests | errors | p50 (s) | p95 (s) | p99 (s) | max (s) |");
@@ -788,7 +722,7 @@ pub fn report(
         let base_paths = flatten_tree(&span_tree(base));
         let _ = writeln!(md, "## Regression vs baseline\n");
         if let (Some((_, base_s, _)), Some((_, run_s, _))) =
-            (base.command_event(), run.command_event())
+            (base.command(), run.command())
         {
             let _ = writeln!(
                 md,
@@ -867,19 +801,16 @@ fn join_codes(items: &[&String]) -> String {
 mod tests {
     use super::*;
 
-    /// A hand-written sink: root span on thread 1 with two children (one
-    /// repeated), a worker-thread span, a cli.command event, histogram and
-    /// training records.
+    /// A hand-written sink: root `cli.simulate` span on thread 1 with two
+    /// children (the repeated `train.epoch` carrying the losses), a
+    /// worker-thread span, an evaluation event, a counter and a histogram.
     fn sample_log() -> TelemetryLog {
         let text = r#"{"ts_us":400,"kind":"span","name":"cli.stage.build_grid","span":2,"parent":1,"thread":1,"start_us":100,"dur_us":300,"ok":true}
-{"ts_us":700,"kind":"span","name":"train.epoch","span":3,"parent":1,"thread":1,"start_us":450,"dur_us":250,"ok":true,"epoch":0}
-{"ts_us":1000,"kind":"span","name":"train.epoch","span":4,"parent":1,"thread":1,"start_us":720,"dur_us":280,"ok":true,"epoch":1}
+{"ts_us":700,"kind":"span","name":"train.epoch","span":3,"parent":1,"thread":1,"start_us":450,"dur_us":250,"ok":true,"epoch":0,"train_loss":0.5,"val_loss":0.6}
+{"ts_us":1000,"kind":"span","name":"train.epoch","span":4,"parent":1,"thread":1,"start_us":720,"dur_us":280,"ok":true,"epoch":1,"train_loss":0.25,"val_loss":0.4}
 {"ts_us":900,"kind":"span","name":"sim.wnv.run","span":5,"parent":null,"thread":2,"start_us":500,"dur_us":400,"ok":true}
 {"ts_us":1100,"kind":"span","name":"cli.simulate","span":1,"parent":null,"thread":1,"start_us":50,"dur_us":1050,"ok":true}
-{"ts_us":1105,"kind":"event","name":"train.epoch","train_loss":0.5,"val_loss":0.6,"epoch":0}
-{"ts_us":1106,"kind":"event","name":"train.epoch","train_loss":0.25,"val_loss":0.4,"epoch":1}
 {"ts_us":1107,"kind":"event","name":"eval.design.evaluated","design":"D1","train_seconds":2.0,"sim_seconds_per_vector":1.0,"predict_seconds_per_vector":0.01,"speedup":100.0}
-{"ts_us":1110,"kind":"event","name":"cli.command","command":"simulate","seconds":0.00105,"ok":true}
 {"ts_us":1120,"kind":"counter","name":"sparse.cg.solves","value":42}
 {"ts_us":1120,"kind":"histogram","name":"sparse.cg.iterations_per_solve","count":42,"sum":420,"min":5,"max":20,"p50":9.5,"p95":18,"p99":19.5}
 "#;
@@ -890,12 +821,12 @@ mod tests {
     fn parses_all_record_kinds() {
         let log = sample_log();
         assert_eq!(log.spans.len(), 5);
-        assert_eq!(log.events.len(), 4);
+        assert_eq!(log.events.len(), 1);
         assert_eq!(log.counters["sparse.cg.solves"], 42);
         assert_eq!(log.histograms["sparse.cg.iterations_per_solve"].count, 42);
-        assert_eq!(log.command_event(), Some(("simulate", 0.00105, true)));
-        let root = log.root_span_seconds().unwrap();
-        assert!((root - 0.00105).abs() < 1e-9, "root {root}");
+        // The command comes from the root `cli.*` span, not the worker's
+        // parentless `sim.wnv.run`.
+        assert_eq!(log.command(), Some(("simulate", 0.00105, true)));
     }
 
     #[test]
@@ -959,11 +890,15 @@ mod tests {
         let out = report(&log, None, &ReportOptions::default());
         for needle in [
             "# pdn run report",
+            "- command: `simulate` — 0.0010 s, ok",
             "## Stage tree",
             "cli.stage.build_grid",
             "## Distributions",
             "sparse.cg.iterations_per_solve",
             "## Training",
+            "| train loss | 0.5000 | 0.2500 | 0.2500 |",
+            "| val loss | 0.6000 | 0.4000 | 0.4000 |",
+            "2 epochs recorded.",
             "## Simulate vs predict",
             "| D1 |",
             "100.0000×",
@@ -977,8 +912,8 @@ mod tests {
     #[test]
     fn report_serving_section_from_serve_sink() {
         // A serve-origin sink: request/error/shed counters, one batcher's
-        // width/queue/compute histograms, and two per-route latency
-        // histograms with an error counter for one of them.
+        // width/queue histograms and its batch-span histogram, and two
+        // route-span histograms with an error counter for one of them.
         let text = r#"{"ts_us":10,"kind":"counter","name":"serve.requests","value":12}
 {"ts_us":10,"kind":"counter","name":"serve.errors","value":2}
 {"ts_us":10,"kind":"counter","name":"serve.rejected_total","value":3}
@@ -986,9 +921,9 @@ mod tests {
 {"ts_us":10,"kind":"counter","name":"serve.predict.requests","value":9}
 {"ts_us":10,"kind":"histogram","name":"serve.predict.batch_width","count":4,"sum":9,"min":1,"max":4,"p50":2,"p95":4,"p99":4}
 {"ts_us":10,"kind":"histogram","name":"serve.predict.queue_wait_seconds","count":9,"sum":0.09,"min":0.001,"max":0.02,"p50":0.01,"p95":0.019,"p99":0.02}
-{"ts_us":10,"kind":"histogram","name":"serve.predict.compute_seconds","count":4,"sum":0.4,"min":0.05,"max":0.2,"p50":0.1,"p95":0.19,"p99":0.2}
-{"ts_us":10,"kind":"histogram","name":"serve.route.predict.latency_seconds","count":9,"sum":0.9,"min":0.05,"max":0.3,"p50":0.1,"p95":0.25,"p99":0.3}
-{"ts_us":10,"kind":"histogram","name":"serve.route.healthz.latency_seconds","count":3,"sum":0.003,"min":0.0005,"max":0.002,"p50":0.001,"p95":0.002,"p99":0.002}
+{"ts_us":10,"kind":"histogram","name":"serve.predict.batch","count":4,"sum":0.4,"min":0.05,"max":0.2,"p50":0.1,"p95":0.19,"p99":0.2}
+{"ts_us":10,"kind":"histogram","name":"serve.route.predict","count":9,"sum":0.9,"min":0.05,"max":0.3,"p50":0.1,"p95":0.25,"p99":0.3}
+{"ts_us":10,"kind":"histogram","name":"serve.route.healthz","count":3,"sum":0.003,"min":0.0005,"max":0.002,"p50":0.001,"p95":0.002,"p99":0.002}
 {"ts_us":10,"kind":"counter","name":"serve.route.predict.errors","value":2}
 "#;
         let run = TelemetryLog::parse_str(text).unwrap();
@@ -997,9 +932,9 @@ mod tests {
             "## Serving",
             "12 requests, 2 errors, 3 shed by admission control.",
             "| batcher | batches | requests | width mean | width max |",
-            "| serve.predict | 4 | 9 |",
+            "| serve.predict | 4 | 9 | 2.2500 | 4.0000 | 0.0100 | 0.0200 | 0.1000 | 0.2000 |",
             "| route | requests | errors |",
-            "| predict | 9 | 2 |",
+            "| predict | 9 | 2 | 0.1000 | 0.2500 | 0.3000 | 0.3000 |",
             "| healthz | 3 | 0 |",
         ] {
             assert!(out.markdown.contains(needle), "missing {needle:?} in:\n{}", out.markdown);
@@ -1017,11 +952,12 @@ mod tests {
         let run_text = r#"{"ts_us":400,"kind":"span","name":"cli.stage.build_grid","span":2,"parent":1,"thread":1,"start_us":100,"dur_us":300,"ok":true}
 {"ts_us":2000,"kind":"span","name":"train.epoch","span":3,"parent":1,"thread":1,"start_us":450,"dur_us":1590000,"ok":true}
 {"ts_us":2500,"kind":"span","name":"cli.simulate","span":1,"parent":null,"thread":1,"start_us":50,"dur_us":1800000,"ok":true}
-{"ts_us":2600,"kind":"event","name":"cli.command","command":"simulate","seconds":1.8,"ok":true}
 "#;
         let run = TelemetryLog::parse_str(run_text).unwrap();
         let out = report(&run, Some(&base), &ReportOptions::default());
         assert!(out.markdown.contains("## Regression vs baseline"));
+        let wall_clock = "Command wall clock: 0.0010 s → 1.8000 s";
+        assert!(out.markdown.contains(wall_clock), "{}", out.markdown);
         let paths: Vec<&str> = out.regressions.iter().map(|r| r.path.as_str()).collect();
         assert!(
             paths.contains(&"cli.simulate / train.epoch"),

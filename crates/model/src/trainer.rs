@@ -71,11 +71,6 @@ impl TrainHistory {
     pub fn final_val_loss(&self) -> Option<f32> {
         self.epochs.last().map(|e| e.val_loss)
     }
-
-    /// Best (lowest) validation loss across epochs.
-    pub fn best_val_loss(&self) -> f32 {
-        self.epochs.iter().map(|e| e.val_loss).fold(f32::INFINITY, f32::min)
-    }
 }
 
 /// Drives training of a [`WnvModel`] on a [`Dataset`].
@@ -166,7 +161,6 @@ impl Trainer {
         for epoch in start_epoch..self.config.epochs {
             let mut ep_span = telemetry::span("train.epoch");
             ep_span.field("epoch", epoch);
-            let t_epoch = telemetry::enabled().then(std::time::Instant::now);
             adam.learning_rate =
                 self.config.learning_rate * self.config.lr_decay.powi(epoch as i32);
             order.shuffle(&mut shuffle_rng);
@@ -205,24 +199,11 @@ impl Trainer {
             let train_loss = (epoch_loss / split.train.len() as f64) as f32;
             let val_loss = self.evaluate(model, dataset, &split.val);
             history.epochs.push(EpochStats { train_loss, val_loss });
+            ep_span.field("lr", adam.learning_rate);
             ep_span.field("train_loss", train_loss);
             ep_span.field("val_loss", val_loss);
-            if let Some(t) = t_epoch {
-                let elapsed = t.elapsed();
-                telemetry::counter_add("train.epochs", 1);
-                telemetry::observe_duration("train.epoch_seconds", elapsed);
-                telemetry::gauge_set("train.lr", f64::from(adam.learning_rate));
-                telemetry::event(
-                    "train.epoch",
-                    &[
-                        ("epoch", epoch.into()),
-                        ("lr", adam.learning_rate.into()),
-                        ("train_loss", train_loss.into()),
-                        ("val_loss", val_loss.into()),
-                        ("seconds", elapsed.as_secs_f64().into()),
-                    ],
-                );
-            }
+            telemetry::counter_add("train.epochs", 1);
+            telemetry::gauge_set("train.lr", f64::from(adam.learning_rate));
             if let Some(ck) = checkpoints {
                 let done = epoch + 1;
                 if done % ck.every == 0 || done == self.config.epochs {

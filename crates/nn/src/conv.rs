@@ -207,16 +207,6 @@ impl Conv2d {
         }
     }
 
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
-    /// Number of output channels (kernels).
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
     /// Direct mutable access to the weight parameter (tests, serialization).
     pub fn weight_mut(&mut self) -> &mut Param {
         &mut self.weight

@@ -132,16 +132,6 @@ impl ConvTranspose2d {
         }
     }
 
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_ch
-    }
-
     /// Direct mutable access to the weight parameter.
     pub fn weight_mut(&mut self) -> &mut Param {
         &mut self.weight

@@ -237,6 +237,16 @@ fn claim(key: CacheKey) -> Claim {
     }
 }
 
+/// [`WnvCache::configured_dir`] on explicit inputs: the flag wins over the
+/// environment, and one set of keywords turns caching off through either.
+fn resolve_dir(flag: Option<&str>, env: Option<&str>, home: Option<PathBuf>) -> Option<PathBuf> {
+    match flag.or(env).map(str::trim) {
+        Some("" | "0" | "none" | "off") => None,
+        Some(path) => Some(PathBuf::from(path)),
+        None => home.map(|home| home.join(".cache/pdn-wnv")),
+    }
+}
+
 /// An on-disk cache of simulated [`NoiseReport`] groups.
 #[derive(Debug, Clone)]
 pub struct WnvCache {
@@ -255,22 +265,13 @@ impl WnvCache {
         Ok(WnvCache { dir })
     }
 
-    /// The default cache directory: `PDN_CACHE_DIR` if set (the values
-    /// `0`, `none` and `off` disable caching), else `~/.cache/pdn-wnv`,
-    /// else `None` when no home directory is known.
-    pub fn default_dir() -> Option<PathBuf> {
-        match std::env::var("PDN_CACHE_DIR") {
-            Ok(raw) => {
-                let raw = raw.trim();
-                match raw {
-                    "" | "0" | "none" | "off" => None,
-                    path => Some(PathBuf::from(path)),
-                }
-            }
-            Err(_) => {
-                std::env::var_os("HOME").map(|home| PathBuf::from(home).join(".cache/pdn-wnv"))
-            }
-        }
+    /// The cache directory a run is configured with: `flag` (the CLI's
+    /// `--cache-dir`) if given, else `PDN_CACHE_DIR` if set, else
+    /// `~/.cache/pdn-wnv`. `None` when caching is off: the setting is
+    /// empty, `0`, `none` or `off`, or no home directory is known.
+    pub fn configured_dir(flag: Option<&str>) -> Option<PathBuf> {
+        let env = std::env::var("PDN_CACHE_DIR").ok();
+        resolve_dir(flag, env.as_deref(), std::env::var_os("HOME").map(PathBuf::from))
     }
 
     /// The cache's root directory.
@@ -954,5 +955,24 @@ mod tests {
         let err = decode_entry(&bytes, key).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("longer than the entry"), "{err}");
+    }
+
+    #[test]
+    fn every_off_keyword_disables_the_cache_through_flag_and_environment() {
+        let home = || Some(PathBuf::from("/home/u"));
+        for off in ["", "0", "none", "off", " none "] {
+            assert_eq!(resolve_dir(Some(off), None, home()), None, "--cache-dir {off:?}");
+            assert_eq!(resolve_dir(None, Some(off), home()), None, "PDN_CACHE_DIR={off:?}");
+            // The flag wins in both directions.
+            assert_eq!(resolve_dir(Some(off), Some("/env"), home()), None, "--cache-dir {off:?}");
+            assert_eq!(
+                resolve_dir(Some("/flag"), Some(off), home()),
+                Some(PathBuf::from("/flag")),
+                "--cache-dir over PDN_CACHE_DIR={off:?}"
+            );
+        }
+        assert_eq!(resolve_dir(None, Some(" /env "), home()), Some(PathBuf::from("/env")));
+        assert_eq!(resolve_dir(None, None, home()), Some(PathBuf::from("/home/u/.cache/pdn-wnv")));
+        assert_eq!(resolve_dir(None, None, None), None, "no home directory");
     }
 }

@@ -192,14 +192,6 @@ impl TransientSimulator {
         }
     }
 
-    /// The solver strategy this engine was built with.
-    pub fn solver_kind(&self) -> SolverKind {
-        match self.solver {
-            SolverState::Cg { .. } => SolverKind::IterativeCg,
-            SolverState::Direct { .. } => SolverKind::DirectCholesky,
-        }
-    }
-
     /// Folds every solver setting that affects numeric output — solver
     /// kind plus, for CG, tolerance and iteration budget, and for the
     /// direct path, the fill ordering the analysis selected — into `d`.
@@ -382,23 +374,6 @@ impl TransientSimulator {
         }
         Ok(stats)
     }
-
-    /// Batched counterpart of [`Self::run_full`]: returns one
-    /// per-step voltage history per vector, all marched in lockstep.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run_batch_with`].
-    pub fn run_full_batch(
-        &self,
-        vectors: &[&TestVector],
-    ) -> SimResult<(Vec<Vec<Vec<f64>>>, TransientStats)> {
-        let steps = vectors.first().map_or(0, |v| v.step_count());
-        let mut out: Vec<Vec<Vec<f64>>> =
-            (0..vectors.len()).map(|_| Vec::with_capacity(steps)).collect();
-        let stats = self.run_batch_with(vectors, |_, t, v| out[t].push(v.to_vec()))?;
-        Ok((out, stats))
-    }
 }
 
 #[cfg(test)]
@@ -409,6 +384,19 @@ mod tests {
 
     fn grid() -> PowerGrid {
         DesignPreset::D1.spec(DesignScale::Tiny).build(1).unwrap()
+    }
+
+    /// Batched counterpart of [`TransientSimulator::run_full`]: one
+    /// per-step voltage history per vector, all marched in lockstep.
+    fn run_full_batch(
+        sim: &TransientSimulator,
+        vectors: &[&TestVector],
+    ) -> SimResult<(Vec<Vec<Vec<f64>>>, TransientStats)> {
+        let steps = vectors.first().map_or(0, |v| v.step_count());
+        let mut out: Vec<Vec<Vec<f64>>> =
+            (0..vectors.len()).map(|_| Vec::with_capacity(steps)).collect();
+        let stats = sim.run_batch_with(vectors, |_, t, v| out[t].push(v.to_vec()))?;
+        Ok((out, stats))
     }
 
     #[test]
@@ -512,7 +500,7 @@ mod tests {
         let refs: Vec<&TestVector> = vectors.iter().collect();
         for kind in [SolverKind::IterativeCg, SolverKind::DirectCholesky] {
             let sim = TransientSimulator::with_solver(&g, kind).unwrap();
-            let (batched, _) = sim.run_full_batch(&refs).unwrap();
+            let (batched, _) = run_full_batch(&sim, &refs).unwrap();
             for (t, vector) in vectors.iter().enumerate() {
                 let (solo, _) = sim.run_full(vector).unwrap();
                 assert_eq!(batched[t], solo, "{kind:?}: vector {t} drifted from sequential");
@@ -548,7 +536,7 @@ mod tests {
         let a = TestVector::from_flat(4, n_loads, vec![0.0; 4 * n_loads], g.spec().time_step());
         let b = TestVector::from_flat(6, n_loads, vec![0.0; 6 * n_loads], g.spec().time_step());
         assert!(matches!(
-            sim.run_full_batch(&[&a, &b]),
+            run_full_batch(&sim, &[&a, &b]),
             Err(SimError::BatchStepMismatch { expected: 4, actual: 6 })
         ));
     }

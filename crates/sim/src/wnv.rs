@@ -166,7 +166,6 @@ impl WnvRunner {
                 "sim.wnv.batch_occupancy",
                 vectors.len() as f64 / DEFAULT_BATCH as f64,
             );
-            pdn_core::telemetry::observe_duration("sim.wnv.run_seconds", elapsed);
         }
         let elapsed = elapsed / vectors.len().max(1) as u32;
         Ok(maps

@@ -64,6 +64,32 @@ assert solves == per_solve == want, (
     f"cache smoke: sparse.cg.solves {solves} and iterations_per_solve count "
     f"{per_solve}, want both {want}")
 PYEOF
+# One timer: a span is the only record of a region's duration. Every span
+# name has exactly one histogram of that name, counting its span records,
+# and no event or hand-timed histogram repeats a span.
+python3 - "$t1" <<'PYEOF'
+import collections, json, sys
+spans = collections.Counter()
+hists = collections.defaultdict(list)
+events = set()
+for line in open(sys.argv[1]):
+    rec = json.loads(line)
+    if rec["kind"] == "span":
+        spans[rec["name"]] += 1
+    elif rec["kind"] == "histogram":
+        hists[rec["name"]].append(rec["count"])
+    elif rec["kind"] == "event":
+        events.add(rec["name"])
+assert spans, "one timer: the sink holds no span records"
+for name, n in sorted(spans.items()):
+    assert hists.get(name) == [n], (
+        f"one timer: span {name} has {n} records, its histograms count {hists.get(name)}")
+dup = sorted(events & {"cli.command", "cli.stage", "train.epoch"})
+assert not dup, f"one timer: events {dup} repeat span records"
+dup = sorted(set(hists) & {"sim.wnv.run_seconds", "train.epoch_seconds"})
+assert not dup, f"one timer: histograms {dup} repeat span durations"
+print(f"one timer: {len(spans)} span names, each with one histogram counting its records")
+PYEOF
 echo "cache round trip: 4 stores on run 1, 4 hits (no simulation) on run 2"
 
 echo

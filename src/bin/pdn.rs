@@ -230,21 +230,12 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .map_err(|e| format!("--telemetry {path}: {e}"))?;
     }
     // The root span covers the whole command, so every stage span in the
-    // sink hangs off it and its duration matches the `cli.command` event.
+    // sink hangs off it; it records the command's wall clock and outcome.
     let mut root = telemetry::span(&format!("cli.{command}"));
-    let t_command = Instant::now();
     let result = command_fn(&opts);
     root.set_ok(result.is_ok());
     drop(root);
     if telemetry::enabled() {
-        telemetry::event(
-            "cli.command",
-            &[
-                ("command", command.as_str().into()),
-                ("seconds", t_command.elapsed().as_secs_f64().into()),
-                ("ok", result.is_ok().into()),
-            ],
-        );
         telemetry::write_summary_records();
         telemetry::flush();
         // The command's own error, if any, outranks a failed summary.
@@ -253,39 +244,23 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     result
 }
 
-/// Runs one named pipeline stage inside a `cli.stage.<name>` span, also
-/// recording its wall clock as a `cli.stage` event and a `cli.stage.<name>`
-/// histogram sample. The stages of a command partition its whole runtime,
-/// so the per-stage records in the sink sum to the command's wall clock.
-/// If `f` panics, the span still reaches the sink, tagged `ok:false`.
+/// Runs one named pipeline stage inside a `cli.stage.<name>` span, whose
+/// histogram of the same name collects its wall clock. The stages of a
+/// command partition its whole runtime, so the stage spans sum to the
+/// root span's. If `f` panics, the span still reaches the sink, tagged
+/// `ok:false`.
 fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
     let _span = telemetry::span(&format!("cli.stage.{name}"));
-    let start = Instant::now();
-    let out = f();
-    record_stage(name, start);
-    out
+    f()
 }
 
 /// Like [`stage`] for fallible stages: the span is tagged `ok:false` when
 /// `f` returns `Err` (or unwinds).
 fn try_stage<T, E>(name: &str, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
     let mut span = telemetry::span(&format!("cli.stage.{name}"));
-    let start = Instant::now();
     let out = f();
     span.set_ok(out.is_ok());
-    record_stage(name, start);
     out
-}
-
-fn record_stage(name: &str, start: Instant) {
-    if telemetry::enabled() {
-        let seconds = start.elapsed().as_secs_f64();
-        telemetry::observe(&format!("cli.stage.{name}"), seconds);
-        telemetry::event(
-            "cli.stage",
-            &[("stage", name.into()), ("seconds", seconds.into())],
-        );
-    }
 }
 
 /// `pdn report RUN.jsonl [BASELINE.jsonl] [--out F] [--trace F]
@@ -672,23 +647,15 @@ fn factor(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Erro
     Ok(())
 }
 
-/// Resolves the ground-truth cache: `--cache-dir` wins, then
-/// `PDN_CACHE_DIR`, then `~/.cache/pdn-wnv`; `none`/`off`/`0`/empty
-/// disables caching.
+/// Opens the ground-truth cache that `--cache-dir` or the environment
+/// names (see [`WnvCache::configured_dir`]); `None` when caching is off.
 fn cache_from_opts(
     opts: &HashMap<String, String>,
 ) -> Result<Option<WnvCache>, Box<dyn std::error::Error>> {
-    let dir = match opts.get("cache-dir").map(|v| v.trim()) {
-        Some("" | "0" | "none" | "off") => None,
-        Some(path) => Some(PathBuf::from(path)),
-        None => WnvCache::default_dir(),
+    let Some(dir) = WnvCache::configured_dir(opts.get("cache-dir").map(String::as_str)) else {
+        return Ok(None);
     };
-    match dir {
-        Some(d) => Ok(Some(
-            WnvCache::open(&d).map_err(|e| format!("cache dir {}: {e}", d.display()))?,
-        )),
-        None => Ok(None),
-    }
+    Ok(Some(WnvCache::open(&dir).map_err(|e| format!("cache dir {}: {e}", dir.display()))?))
 }
 
 /// Builds the training-checkpoint config from `--checkpoint FILE`,

@@ -244,6 +244,10 @@ fn health_metrics_and_error_statuses() {
     assert!(body.contains("# TYPE serve_predict_batch_width histogram"), "{body}");
     assert!(body.contains("serve_predict_batch_width_bucket{le=\"+Inf\"}"), "{body}");
     assert!(body.contains("serve_window_predict_p99_seconds"), "{body}");
+    // Request latency is the route span's histogram, under the span's name.
+    assert!(body.contains("# TYPE serve_route_predict histogram"), "{body}");
+    assert!(body.contains("# TYPE serve_predict_batch histogram"), "{body}");
+    assert!(!body.contains("latency_seconds") && !body.contains("compute_seconds"), "{body}");
     assert!(!body.contains("\"kind\""), "Prometheus text must not be JSONL: {body}");
 
     // The raw registry snapshot stays reachable via content negotiation.
@@ -288,6 +292,31 @@ fn health_metrics_and_error_statuses() {
     assert_eq!(status, 400, "{body}");
 
     assert!(server.stats().errors.load(std::sync::atomic::Ordering::Relaxed) >= 4);
+    server.shutdown();
+}
+
+#[test]
+fn a_truncated_body_is_answered_400_and_the_worker_serves_on() {
+    let grid = tiny_grid();
+    let predictor = fixture_predictor(&grid, 3);
+    let runner = WnvRunner::new(&grid).unwrap();
+    // One worker: the second request is served only if the first one
+    // released it.
+    let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), workers: 1, ..ServeConfig::default() };
+    let server = serve::serve(&cfg, "D1-tiny", grid, predictor, runner, None).unwrap();
+    let addr = server.local_addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(b"POST /predict HTTP/1.1\r\nContent-Length: 1000\r\n\r\nonly this").unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    assert!(raw.contains("after 9 of 1000 body bytes"), "{raw}");
+
+    let (status, body) = http(addr, "GET", "/healthz", b"");
+    assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
 

@@ -31,14 +31,14 @@ fn disabled_telemetry_is_a_complete_no_op() {
     telemetry::observe("it.histogram", 0.25);
     telemetry::event("it.event", &[("k", 1u64.into())]);
     {
-        let _t = telemetry::timed("it.timer");
+        let _span = telemetry::span("it.span");
     }
 
     telemetry::enable();
     assert_eq!(telemetry::counter_value("it.counter"), 0);
     assert_eq!(telemetry::gauge_value("it.gauge"), None);
     assert!(telemetry::histogram_summary("it.histogram").is_none());
-    assert!(telemetry::histogram_summary("it.timer").is_none());
+    assert!(telemetry::histogram_summary("it.span").is_none());
     telemetry::reset();
 }
 
