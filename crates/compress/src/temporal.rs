@@ -95,9 +95,8 @@ impl TemporalCompressor {
     /// Runs Algorithm 1 on the per-stamp totals `S[k]`.
     ///
     /// Uses prefix-sum moments so the whole sweep costs `O(N log N)` rather
-    /// than the literal algorithm's `O(N · sweeps)`;
-    /// [`TemporalCompressor::compress_reference`] is the literal port and the
-    /// two are tested equivalent.
+    /// than the literal algorithm's `O(N · sweeps)`; the test module holds
+    /// the literal port, and the two are tested equivalent.
     ///
     /// # Panics
     ///
@@ -112,8 +111,7 @@ impl TemporalCompressor {
     /// `scratch` for every intermediate and leaves the outcome there (the
     /// selected indices in [`CompressScratch::kept`]). The stamps are
     /// ordered by `(value, index)`, the stable-by-value order of
-    /// `stats::argsort` that [`TemporalCompressor::compress_reference`]
-    /// uses.
+    /// `stats::argsort` that the literal port uses.
     ///
     /// # Panics
     ///
@@ -181,56 +179,6 @@ impl TemporalCompressor {
         out.compressed_mu3sigma = stat;
     }
 
-    /// Literal line-by-line port of Algorithm 1 (recomputes the window
-    /// moments from scratch at every sweep step). Kept as the reference the
-    /// optimized version is validated against, and for the ablation bench.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `totals` is empty.
-    pub fn compress_reference(&self, totals: &[f64]) -> CompressionOutcome {
-        assert!(!totals.is_empty(), "cannot compress an empty sequence");
-        let n = totals.len();
-        let keep = ((self.rate * n as f64).round() as usize).clamp(1, n);
-        let order = stats::argsort(totals);
-        let sorted: Vec<f64> = order.iter().map(|&i| totals[i]).collect();
-        let target = stats::mu_plus_3_sigma(totals);
-
-        let mut d_min = f64::INFINITY;
-        let mut best_k_low = 0usize;
-        let mut best_r0 = 0.0;
-        let mut best_stat = 0.0;
-        let mut r0 = 0.0;
-        while r0 <= self.rate + 1e-12 {
-            let k_low = ((r0 * n as f64).round() as usize).min(keep);
-            let k_high = keep - k_low;
-            if k_low + k_high > 0 {
-                let mut window: Vec<f64> = sorted[..k_low].to_vec();
-                window.extend_from_slice(&sorted[n - k_high..]);
-                let stat = stats::mu_plus_3_sigma(&window);
-                let err = (target - stat).abs();
-                if err < d_min {
-                    d_min = err;
-                    best_k_low = k_low;
-                    best_r0 = r0;
-                    best_stat = stat;
-                }
-            }
-            r0 += self.rate_step;
-        }
-        let k_high = keep - best_k_low;
-        let mut kept: Vec<usize> = order[..best_k_low].to_vec();
-        kept.extend_from_slice(&order[n - k_high..]);
-        kept.sort_unstable();
-        CompressionOutcome {
-            kept,
-            selected_r0: best_r0,
-            statistic_error: d_min,
-            original_mu3sigma: target,
-            compressed_mu3sigma: best_stat,
-        }
-    }
-
     /// Compresses a test vector: runs the algorithm on its totals and keeps
     /// the selected stamps.
     pub fn compress_vector(&self, vector: &TestVector) -> (TestVector, CompressionOutcome) {
@@ -272,6 +220,52 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Literal line-by-line port of Algorithm 1 (recomputes the window
+    /// moments from scratch at every sweep step): the oracle that
+    /// [`TemporalCompressor::compress`] is tested against.
+    fn compress_reference(c: &TemporalCompressor, totals: &[f64]) -> CompressionOutcome {
+        assert!(!totals.is_empty(), "cannot compress an empty sequence");
+        let n = totals.len();
+        let keep = ((c.rate * n as f64).round() as usize).clamp(1, n);
+        let order = stats::argsort(totals);
+        let sorted: Vec<f64> = order.iter().map(|&i| totals[i]).collect();
+        let target = stats::mu_plus_3_sigma(totals);
+
+        let mut d_min = f64::INFINITY;
+        let mut best_k_low = 0usize;
+        let mut best_r0 = 0.0;
+        let mut best_stat = 0.0;
+        let mut r0 = 0.0;
+        while r0 <= c.rate + 1e-12 {
+            let k_low = ((r0 * n as f64).round() as usize).min(keep);
+            let k_high = keep - k_low;
+            if k_low + k_high > 0 {
+                let mut window: Vec<f64> = sorted[..k_low].to_vec();
+                window.extend_from_slice(&sorted[n - k_high..]);
+                let stat = stats::mu_plus_3_sigma(&window);
+                let err = (target - stat).abs();
+                if err < d_min {
+                    d_min = err;
+                    best_k_low = k_low;
+                    best_r0 = r0;
+                    best_stat = stat;
+                }
+            }
+            r0 += c.rate_step;
+        }
+        let k_high = keep - best_k_low;
+        let mut kept: Vec<usize> = order[..best_k_low].to_vec();
+        kept.extend_from_slice(&order[n - k_high..]);
+        kept.sort_unstable();
+        CompressionOutcome {
+            kept,
+            selected_r0: best_r0,
+            statistic_error: d_min,
+            original_mu3sigma: target,
+            compressed_mu3sigma: best_stat,
+        }
     }
 
     #[test]
@@ -355,7 +349,7 @@ mod tests {
         for seed in 0..20 {
             let totals = bursty_trace(157, seed);
             let fast = c.compress(&totals);
-            let slow = c.compress_reference(&totals);
+            let slow = compress_reference(&c, &totals);
             assert_eq!(fast.kept, slow.kept, "seed {seed}");
             assert!((fast.statistic_error - slow.statistic_error).abs() < 1e-9);
         }
@@ -420,7 +414,7 @@ mod tests {
                 prop_assert!(seen.insert(k));
             }
             // Reference agreement.
-            let slow = c.compress_reference(&totals);
+            let slow = compress_reference(&c, &totals);
             prop_assert_eq!(out.kept, slow.kept);
         }
     }

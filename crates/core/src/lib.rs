@@ -12,6 +12,10 @@
 //! * crash-safe [`fsio`] primitives — atomic write-temp-fsync-rename plus
 //!   the dependency-free content digest that keys the ground-truth cache
 //!   and seals checkpoints against torn reads;
+//! * the one [`codec`] of the binary artifacts (cache entries, checkpoints,
+//!   predictor bundles, weight files): a [`codec::Writer`] and a bounded
+//!   [`codec::Reader`] that checks every run against the bytes left and
+//!   reports every failure as `InvalidData`;
 //! * deterministic [`rng`] construction so every experiment is reproducible;
 //! * the process's [`threads`] width (the `PDN_THREADS` override);
 //! * the [`telemetry`] registry — counters, gauges, histograms, spans
@@ -34,6 +38,7 @@
 //! assert_eq!(map.sum(), 1.0);
 //! ```
 
+pub mod codec;
 pub mod error;
 pub mod fsio;
 pub mod geom;

@@ -81,88 +81,6 @@ pub fn argsort(xs: &[f64]) -> Vec<usize> {
     idx
 }
 
-/// Running-moment accumulator allowing O(1) insertion/removal, used by the
-/// optimized temporal-compression sweep.
-///
-/// # Example
-///
-/// ```
-/// use pdn_core::stats::Moments;
-/// let mut m = Moments::new();
-/// m.push(1.0);
-/// m.push(3.0);
-/// assert_eq!(m.mean(), 2.0);
-/// m.pop(1.0);
-/// assert_eq!(m.mean(), 3.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Moments {
-    n: usize,
-    sum: f64,
-    sum_sq: f64,
-}
-
-impl Moments {
-    /// Creates an empty accumulator.
-    pub fn new() -> Moments {
-        Moments::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        self.sum_sq += x * x;
-    }
-
-    /// Removes a previously added sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulator is empty.
-    pub fn pop(&mut self, x: f64) {
-        assert!(self.n > 0, "pop from empty moments accumulator");
-        self.n -= 1;
-        self.sum -= x;
-        self.sum_sq -= x * x;
-    }
-
-    /// Number of samples currently accumulated.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether no samples are accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Mean of the accumulated samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Population standard deviation of the accumulated samples (0 when
-    /// empty). Clamps tiny negative variances produced by cancellation.
-    pub fn std_dev(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = (self.sum_sq / self.n as f64 - m * m).max(0.0);
-        var.sqrt()
-    }
-
-    /// `μ + 3σ` of the accumulated samples.
-    pub fn mu_plus_3_sigma(&self) -> f64 {
-        self.mean() + 3.0 * self.std_dev()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,21 +119,5 @@ mod tests {
     fn argsort_is_stable() {
         let xs = [2.0, 1.0, 2.0, 0.0];
         assert_eq!(argsort(&xs), vec![3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn moments_match_batch_stats() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut m = Moments::new();
-        for &x in &xs {
-            m.push(x);
-        }
-        assert_eq!(m.len(), xs.len());
-        assert!((m.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((m.std_dev() - std_dev(&xs)).abs() < 1e-12);
-        m.pop(9.0);
-        let trimmed = &xs[..7];
-        assert!((m.mean() - mean(trimmed)).abs() < 1e-12);
-        assert!((m.std_dev() - std_dev(trimmed)).abs() < 1e-12);
     }
 }

@@ -14,10 +14,11 @@
 
 use crate::model::WnvModel;
 use crate::trainer::{EpochStats, TrainConfig, TrainHistory};
+use pdn_core::codec::{invalid, Reader, Writer};
 use pdn_core::fsio::{self, Digest};
 use pdn_core::rng;
 use pdn_nn::tensor::Tensor;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"PDNCKPT1";
@@ -134,10 +135,6 @@ impl TrainState {
     }
 }
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// Atomically writes `state` to `path`, sealed with a content digest.
 ///
 /// # Errors
@@ -145,36 +142,21 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// Propagates I/O errors; on any failure `path` still holds its previous
 /// contents.
 pub fn save(path: &Path, state: &TrainState) -> io::Result<()> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(state.epochs_done as u64).to_le_bytes());
-    out.extend_from_slice(&state.config_digest.to_le_bytes());
-    out.extend_from_slice(&state.adam_steps.to_le_bytes());
-    out.extend_from_slice(&state.rng_state);
-    out.extend_from_slice(&(state.order.len() as u32).to_le_bytes());
-    for &i in &state.order {
-        out.extend_from_slice(&(i as u64).to_le_bytes());
-    }
-    out.extend_from_slice(&(state.history.epochs.len() as u32).to_le_bytes());
-    for e in &state.history.epochs {
-        out.extend_from_slice(&e.train_loss.to_le_bytes());
-        out.extend_from_slice(&e.val_loss.to_le_bytes());
-    }
-    out.extend_from_slice(&(state.params.len() as u32).to_le_bytes());
+    let mut w = Writer::new(MAGIC);
+    w.u64(state.epochs_done as u64);
+    w.u64(state.config_digest);
+    w.u64(state.adam_steps);
+    w.bytes(&state.rng_state);
+    w.u32(state.order.len() as u32);
+    state.order.iter().for_each(|&i| w.u64(i as u64));
+    w.u32(state.history.epochs.len() as u32);
+    state.history.epochs.iter().for_each(|e| w.f32s(&[e.train_loss, e.val_loss]));
+    w.u32(state.params.len() as u32);
     for [value, m, v] in &state.params {
-        out.extend_from_slice(&(value.shape().len() as u32).to_le_bytes());
-        for &d in value.shape() {
-            out.extend_from_slice(&(d as u32).to_le_bytes());
-        }
-        for t in [value, m, v] {
-            for x in t.as_slice() {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
+        w.shape(value.shape());
+        [value, m, v].into_iter().for_each(|t| w.f32s(t.as_slice()));
     }
-    let seal = fsio::digest_bytes(&out[MAGIC.len()..]);
-    out.extend_from_slice(&seal.to_le_bytes());
-    fsio::atomic_write(path, &out)
+    fsio::atomic_write(path, &w.seal())
 }
 
 /// Loads and verifies a checkpoint written by [`save`].
@@ -185,72 +167,29 @@ pub fn save(path: &Path, state: &TrainState) -> io::Result<()> {
 /// structural inconsistency — a torn file can never be resumed from.
 pub fn load(path: &Path) -> io::Result<TrainState> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(invalid("checkpoint shorter than header"));
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(invalid("bad checkpoint magic"));
-    }
-    let (body, seal_bytes) = bytes.split_at(bytes.len() - 8);
-    let seal = u64::from_le_bytes(seal_bytes.try_into().expect("8 bytes"));
-    if fsio::digest_bytes(&body[MAGIC.len()..]) != seal {
-        return Err(invalid("checkpoint integrity digest mismatch (torn or corrupt file)"));
-    }
-    let mut r = &body[MAGIC.len()..];
-    let epochs_done = read_u64(&mut r)? as usize;
-    let config_digest = read_u64(&mut r)?;
-    let adam_steps = read_u64(&mut r)?;
-    let mut rng_state = [0u8; rng::STATE_BYTES];
-    r.read_exact(&mut rng_state).map_err(|_| invalid("truncated checkpoint"))?;
-    let order_len = read_u32(&mut r)? as usize;
-    fits(r, order_len, 8, "sample order")?;
-    let mut order = Vec::with_capacity(order_len);
-    for _ in 0..order_len {
-        order.push(read_u64(&mut r)? as usize);
-    }
-    let epoch_count = read_u32(&mut r)? as usize;
-    fits(r, epoch_count, 8, "loss history")?;
-    let mut history = TrainHistory::default();
-    for _ in 0..epoch_count {
-        let train_loss = read_f32(&mut r)?;
-        let val_loss = read_f32(&mut r)?;
-        history.epochs.push(EpochStats { train_loss, val_loss });
-    }
-    let param_count = read_u32(&mut r)? as usize;
-    // Every parameter starts with its rank word.
-    fits(r, param_count, 4, "parameter list")?;
-    let mut params = Vec::with_capacity(param_count);
-    for _ in 0..param_count {
-        let rank = read_u32(&mut r)? as usize;
-        if rank > 8 {
-            return Err(invalid("implausible tensor rank"));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(read_u32(&mut r)? as usize);
-        }
-        let n: usize = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)).ok_or_else(
-            || invalid("tensor shape overflows"),
-        )?;
+    let mut r = Reader::sealed(&bytes, MAGIC, "checkpoint")?;
+    let epochs_done = r.u64()? as usize;
+    let config_digest = r.u64()?;
+    let adam_steps = r.u64()?;
+    let rng_state = r.bytes()?;
+    let n = r.u32()? as usize;
+    let order = r.u64s(n, "sample order")?.into_iter().map(|i| i as usize).collect();
+    let n = r.u32()? as usize;
+    let losses = r.f32s(2 * n, "loss history")?;
+    let epochs = losses.chunks_exact(2).map(|l| EpochStats { train_loss: l[0], val_loss: l[1] });
+    let history = TrainHistory { epochs: epochs.collect() };
+    let mut params = Vec::new();
+    for _ in 0..r.u32()? {
+        let shape = r.shape()?;
+        let len = shape.iter().product();
         // Value, first and second moment.
-        fits(r, n, 3 * 4, "parameter tensor")?;
-        let mut tensors = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(read_f32(&mut r)?);
-            }
-            tensors.push(Tensor::from_vec(&shape, data));
-        }
-        let [value, m, v]: [Tensor; 3] =
-            tensors.try_into().expect("exactly three tensors pushed");
-        params.push([value, m, v]);
+        let mut tensor =
+            || r.f32s(len, "parameter tensor").map(|data| Tensor::from_vec(&shape, data));
+        params.push([tensor()?, tensor()?, tensor()?]);
     }
-    if !r.is_empty() {
-        return Err(invalid("trailing bytes after parameters"));
-    }
+    r.finish()?;
     if epochs_done != history.epochs.len() {
-        return Err(invalid("epoch counter disagrees with history length"));
+        return Err(invalid("checkpoint epoch counter disagrees with history length"));
     }
     Ok(TrainState { epochs_done, order, adam_steps, rng_state, history, params, config_digest })
 }
@@ -308,32 +247,6 @@ pub fn prune_generations(path: &Path, keep: usize) -> io::Result<usize> {
         std::fs::remove_file(p)?;
     }
     Ok(cut)
-}
-
-/// Fails unless `count` items of `size` bytes fit in the unread input `r`.
-/// The seal is not cryptographic, so a crafted header can pass it: every
-/// declared size is checked against the bytes present before allocating.
-fn fits(r: &[u8], count: usize, size: usize, what: &str) -> io::Result<()> {
-    match count.checked_mul(size) {
-        Some(bytes) if bytes <= r.len() => Ok(()),
-        _ => Err(invalid(format!("{what} longer than the checkpoint"))),
-    }
-}
-
-fn read_u32(r: &mut &[u8]) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(|_| invalid("truncated checkpoint"))?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut &[u8]) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(|_| invalid("truncated checkpoint"))?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f32(r: &mut &[u8]) -> io::Result<f32> {
-    read_u32(r).map(f32::from_bits)
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 
 use crate::model::{ModelConfig, Predictor, WnvModel};
 use pdn_compress::temporal::TemporalCompressor;
+use pdn_core::codec::{invalid, Reader, Writer};
 use pdn_features::normalize::Normalizer;
-use pdn_nn::layer::{Layer, Param};
 use pdn_nn::serialize::{read_params, write_params};
 use pdn_nn::tensor::Tensor;
 use std::io::{self, Read, Write};
@@ -19,29 +19,8 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"PDNWNV01";
 
 /// Largest kernel count a bundle may declare per subnet. The paper uses
-/// 8–16; the cap keeps a corrupt header from sizing a model that cannot
-/// be allocated before its weights are even read.
+/// 8–16; the cap keeps a corrupt header from sizing an implausible model.
 const MAX_KERNELS: usize = 256;
-
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn write_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
 
 impl Predictor {
     /// Writes the complete inference bundle.
@@ -50,31 +29,27 @@ impl Predictor {
     ///
     /// Propagates I/O errors.
     pub fn save<W: Write>(&mut self, mut writer: W) -> io::Result<()> {
-        writer.write_all(MAGIC)?;
+        let mut w = Writer::new(MAGIC);
         let config = self.model_config();
-        write_u32(&mut writer, config.c1 as u32)?;
-        write_u32(&mut writer, config.c2 as u32)?;
-        write_u32(&mut writer, config.c3 as u32)?;
+        [config.c1, config.c2, config.c3].into_iter().for_each(|c| w.u32(c as u32));
+        // The distance tensor's three dimensions, without a rank word.
         let distance = self.distance_tensor();
-        write_u32(&mut writer, distance.shape()[0] as u32)?;
-        write_u32(&mut writer, distance.shape()[1] as u32)?;
-        write_u32(&mut writer, distance.shape()[2] as u32)?;
-        for v in distance.as_slice() {
-            writer.write_all(&v.to_le_bytes())?;
-        }
-        write_f64(&mut writer, self.current_norm_scale())?;
-        write_f64(&mut writer, self.target_norm_scale())?;
+        distance.shape().iter().for_each(|&d| w.u32(d as u32));
+        w.f32s(distance.as_slice());
+        w.f64(self.current_norm_scale());
+        w.f64(self.target_norm_scale());
         match self.compressor_settings() {
             Some((rate, step)) => {
-                write_u32(&mut writer, 1)?;
-                write_f64(&mut writer, rate)?;
-                write_f64(&mut writer, step)?;
+                w.u32(1);
+                w.f64(rate);
+                w.f64(step);
             }
-            None => write_u32(&mut writer, 0)?,
+            None => w.u32(0),
         }
         // The field, not `model_mut`: saving leaves the weights (and so
         // the cached distance features) as they are.
-        self.model.write_weights(&mut writer)
+        write_params(|f| self.model.visit_params(f), &mut w);
+        writer.write_all(&w.into_bytes())
     }
 
     /// Saves to a file path atomically: the bundle is staged to a
@@ -88,85 +63,56 @@ impl Predictor {
         pdn_core::fsio::atomic_write_with(path.as_ref(), |w| self.save(w))
     }
 
-    /// Restores a predictor bundle.
+    /// Restores a predictor bundle. It is read into memory whole (a few MB
+    /// at the paper's kernel counts); its length bounds the decode's memory.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for corrupt or truncated bundles; propagates
-    /// other I/O errors.
-    pub fn load<R: Read>(reader: R) -> io::Result<Predictor> {
-        Predictor::load_impl(reader).map_err(|e| {
-            // A torn file surfaces as a short read; report it as corrupt
-            // data, not as an I/O condition the caller might retry.
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                io::Error::new(io::ErrorKind::InvalidData, "truncated predictor bundle")
-            } else {
-                e
-            }
-        })
-    }
-
-    fn load_impl<R: Read>(mut reader: R) -> io::Result<Predictor> {
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad predictor-bundle magic"));
-        }
-        let c1 = read_u32(&mut reader)? as usize;
-        let c2 = read_u32(&mut reader)? as usize;
-        let c3 = read_u32(&mut reader)? as usize;
-        if [c1, c2, c3].iter().any(|&c| c == 0 || c > MAX_KERNELS) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("implausible kernel counts {c1}/{c2}/{c3} (1..={MAX_KERNELS} each)"),
-            ));
-        }
-        let bumps = read_u32(&mut reader)? as usize;
-        let m = read_u32(&mut reader)? as usize;
-        let n = read_u32(&mut reader)? as usize;
-        if bumps == 0 || m == 0 || n == 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "degenerate distance tensor"));
-        }
-        let count = bumps
-            .checked_mul(m)
-            .and_then(|x| x.checked_mul(n))
-            .filter(|&c| c <= (1 << 30))
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "implausible distance-tensor size")
-            })?;
-        // Read what the input holds, up to the declared size, so a
-        // corrupt header costs no more memory than the input itself.
+    /// Returns `InvalidData` for corrupt, truncated or overlong bundles;
+    /// propagates other I/O errors.
+    pub fn load<R: Read>(mut reader: R) -> io::Result<Predictor> {
         let mut bytes = Vec::new();
-        reader.by_ref().take(count as u64 * 4).read_to_end(&mut bytes)?;
-        if bytes.len() != count * 4 {
-            return Err(io::Error::from(io::ErrorKind::UnexpectedEof));
+        // The magic first: a stream that is not a bundle is not read to its end.
+        reader.by_ref().take(8).read_to_end(&mut bytes)?;
+        if bytes == MAGIC {
+            reader.read_to_end(&mut bytes)?;
         }
-        let data = bytes.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-        let distance = Tensor::from_vec(&[bumps, m, n], data.collect());
-        let current_scale = read_f64(&mut reader)?;
-        let target_scale = read_f64(&mut reader)?;
+        let mut r = Reader::new(&bytes, MAGIC, "predictor bundle")?;
+        let [c1, c2, c3] = [r.u32()?, r.u32()?, r.u32()?].map(|c| c as usize);
+        if [c1, c2, c3].iter().any(|&c| c == 0 || c > MAX_KERNELS) {
+            let msg = format!("implausible kernel counts {c1}/{c2}/{c3} (1..={MAX_KERNELS} each)");
+            return Err(invalid(msg));
+        }
+        let [bumps, m, n] = [r.u32()?, r.u32()?, r.u32()?].map(|d| d as usize);
+        if bumps == 0 || m == 0 || n == 0 {
+            return Err(invalid("degenerate distance tensor"));
+        }
+        let count = bumps.saturating_mul(m).saturating_mul(n);
+        let distance = Tensor::from_vec(&[bumps, m, n], r.f32s(count, "distance tensor")?);
+        let current_scale = r.f64()?;
+        let target_scale = r.f64()?;
         // `Normalizer::with_scale` asserts on bad scales; a corrupt bundle
         // must surface as a load error, not a panic inside the assert.
         for (what, scale) in [("current", current_scale), ("target", target_scale)] {
             if !scale.is_finite() || scale <= 0.0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad {what} normalizer scale {scale}: must be finite and positive"),
-                ));
+                return Err(invalid(format!(
+                    "bad {what} normalizer scale {scale}: must be finite and positive"
+                )));
             }
         }
-        let has_compressor = read_u32(&mut reader)? != 0;
-        let compressor = if has_compressor {
-            let rate = read_f64(&mut reader)?;
-            let step = read_f64(&mut reader)?;
-            Some(TemporalCompressor::new(rate, step).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad compressor settings: {e}"))
-            })?)
-        } else {
-            None
+        let compressor = match r.u32()? {
+            0 => None,
+            _ => Some(
+                TemporalCompressor::new(r.f64()?, r.f64()?)
+                    .map_err(|e| invalid(format!("bad compressor settings: {e}")))?,
+            ),
         };
-        let mut model = WnvModel::new(bumps, ModelConfig { c1, c2, c3 }, 0);
-        model.read_weights(&mut reader)?;
+        // The header sizes the model: before building it, the bytes left
+        // must hold at least its weights.
+        let config = ModelConfig { c1, c2, c3 };
+        r.check_run(config.param_count(bumps), 4, "model weights")?;
+        let mut model = WnvModel::new(bumps, config, 0);
+        read_params(|f| model.visit_params(f), r.into_rest())?;
         Ok(Predictor::from_parts(
             model,
             distance,
@@ -182,45 +128,7 @@ impl Predictor {
     ///
     /// Propagates I/O errors.
     pub fn load_from(path: impl AsRef<Path>) -> io::Result<Predictor> {
-        let f = std::fs::File::open(path)?;
-        Predictor::load(io::BufReader::new(f))
-    }
-}
-
-/// Serialization-only [`Layer`] view of a [`WnvModel`]: hands the three
-/// subnets' parameters to `pdn_nn::serialize` in `visit_params` order.
-struct Params<'a>(&'a mut WnvModel);
-
-impl Layer for Params<'_> {
-    fn forward(&mut self, _input: &Tensor) -> &Tensor {
-        unreachable!("serialization-only adapter")
-    }
-    fn backward(&mut self, _grad: &Tensor) -> Tensor {
-        unreachable!("serialization-only adapter")
-    }
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.0.visit_params(f);
-    }
-}
-
-impl WnvModel {
-    /// Writes the three subnets' weights.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_weights<W: Write>(&mut self, writer: &mut W) -> io::Result<()> {
-        write_params(&mut Params(self), writer)
-    }
-
-    /// Restores the three subnets' weights from [`WnvModel::write_weights`]
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for structurally mismatched weight files.
-    pub fn read_weights<R: Read>(&mut self, reader: &mut R) -> io::Result<()> {
-        read_params(&mut Params(self), reader)
+        Predictor::load(std::fs::File::open(path)?)
     }
 }
 
@@ -308,6 +216,41 @@ mod tests {
     fn corrupt_bundle_rejected() {
         let err = Predictor::load(&mut b"garbage!".as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A long stream that is no bundle is rejected after its magic,
+        // not read to its end first.
+        let mut zeros = io::repeat(0).take(64 << 20);
+        let err = Predictor::load(&mut zeros).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(zeros.limit(), (64 << 20) - 8, "read past the magic");
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let (_, mut predictor, _) = trained_predictor();
+        let mut buf = Vec::new();
+        predictor.save(&mut buf).unwrap();
+        buf.push(0);
+        let err = Predictor::load(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("trailing bytes after the weight file"), "{err}");
+    }
+
+    #[test]
+    fn a_header_without_its_weights_fails_before_the_model_is_built() {
+        // 256/256/256 kernels on one bump and a 1 x 1 tile grid: 56 bytes
+        // that would size a 15.3 M-parameter model, and no weights.
+        let mut bytes = MAGIC.to_vec();
+        for word in [256u32, 256, 256, 1, 1, 1] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(&1.0f32.to_le_bytes());
+        bytes.extend_from_slice(&[1.0f64.to_le_bytes(), 1.0f64.to_le_bytes()].concat());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(bytes.len(), 56);
+        let err = Predictor::load(bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let want = "model weights longer than the predictor bundle";
+        assert!(err.to_string().contains(want), "{err}");
     }
 
     #[test]

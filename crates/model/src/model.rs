@@ -31,6 +31,22 @@ impl Default for ModelConfig {
     }
 }
 
+impl ModelConfig {
+    /// [`WnvModel::param_count`] of a model with these kernel counts on
+    /// `bumps` power bumps, computed without building it (a bundle's
+    /// header is checked against its length before the model exists).
+    pub fn param_count(&self, bumps: usize) -> usize {
+        // A (transposed) convolution: `o·i·k²` weights and `o` biases.
+        let conv = |i: usize, o: usize, k: usize| o * i * k * k + o;
+        let unet = |i, c, o| {
+            conv(i, c, 3) + 4 * conv(c, c, 3) + 2 * conv(c, c, 4) + 2 * conv(2 * c, c, 3)
+                + conv(c, o, 1)
+        };
+        let fusion = |c| conv(1, c, 3) + conv(c, c, 3) + conv(c, c, 4) + conv(c, 1, 4);
+        unet(bumps, self.c1, 1) + fusion(self.c2) + unet(4, self.c3, 1)
+    }
+}
+
 /// The map sizes of the last [`WnvModel::forward`], which `backward` needs.
 #[derive(Debug, Clone, Copy)]
 struct Pass {
@@ -463,6 +479,15 @@ mod tests {
             ((b * 13 + r * 5 + c) % 17) as f32 * 0.06
         });
         (grid, vectors, distance, ModelConfig { c1: 2, c2: 2, c3: 2 })
+    }
+
+    #[test]
+    fn config_param_count_matches_the_built_model() {
+        for (bumps, c1, c2, c3) in [(9, 8, 8, 16), (1, 1, 1, 1), (3, 2, 5, 4), (64, 16, 3, 8)] {
+            let config = ModelConfig { c1, c2, c3 };
+            let built = WnvModel::new(bumps, config, 0).param_count();
+            assert_eq!(config.param_count(bumps), built, "{bumps} bumps, {c1}/{c2}/{c3}");
+        }
     }
 
     #[test]

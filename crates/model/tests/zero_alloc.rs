@@ -1,8 +1,9 @@
 //! Proves that `Predictor::predict_batch` performs zero heap allocations in
-//! steady state, and that the training forward `WnvModel::forward`
-//! allocates only the map it returns: a counting global allocator wraps
-//! `System`, warm-up passes size every buffer, and the measured pass must
-//! leave the counter untouched (or at the returned map's two buffers).
+//! steady state, that the training forward `WnvModel::forward` allocates
+//! only the map it returns, and that an Adam step over the model allocates
+//! nothing: a counting global allocator wraps `System`, warm-up passes size
+//! every buffer, and the measured pass must leave the counter untouched (or
+//! at the returned map's two buffers).
 //!
 //! Kept as its own integration-test binary so the global allocator cannot
 //! interfere with any other test; the tests here take one lock so that
@@ -11,6 +12,7 @@
 use pdn_features::normalize::Normalizer;
 use pdn_grid::design::{DesignPreset, DesignScale};
 use pdn_model::model::{ModelConfig, Predictor, WnvModel};
+use pdn_nn::optim::Adam;
 use pdn_nn::tensor::Tensor;
 use pdn_vectors::generator::{GeneratorConfig, VectorGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -117,4 +119,22 @@ fn training_forward_allocates_only_the_returned_map() {
         after - before
     );
     assert_eq!(got, want);
+}
+
+#[test]
+fn a_warm_optimizer_step_is_allocation_free() {
+    let _serial = serial();
+    // The paper's kernel counts on D1's 9 bumps: 48 parameter tensors.
+    let mut model = WnvModel::new(9, ModelConfig::default(), 3);
+    let mut adam = Adam::new(1e-3);
+    let mut step = |model: &mut WnvModel| {
+        adam.begin_step();
+        model.visit_params(&mut |p| adam.update_param(p));
+    };
+    step(&mut model);
+
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    step(&mut model);
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "an Adam step allocated {} times", after - before);
 }

@@ -14,8 +14,11 @@
 //!   epilogue;
 //! * [`loss`] — the L1 training loss (paper Eq. (3)) and MSE for
 //!   diagnostics;
-//! * [`optim::Adam`] — the optimizer with the paper's settings
-//!   (lr = 1e-4);
+//! * [`optim::Adam`] — the one optimizer, with the paper's settings
+//!   (lr = 1e-4); a step updates every parameter in place and allocates
+//!   nothing;
+//! * [`serialize`] — the `PDNNWT01` weight file, written and read through
+//!   `pdn_core::codec` from a parameter visitor (`|f| net.visit_params(f)`);
 //! * [`gradcheck`] — finite-difference verification used by the test suite
 //!   to prove every backward pass correct.
 //!

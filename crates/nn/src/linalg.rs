@@ -18,9 +18,6 @@ const NR: usize = 16;
 /// `k`-blocking depth: one packed `A` strip of `KC` values per row block
 /// stays resident in L1 while the micro-kernel streams the `B` panel.
 const KC: usize = 256;
-/// Below this flop count the packing overhead outweighs the blocked
-/// driver; the convenience wrappers fall back to the naive loops.
-const SMALL_CUTOFF: usize = 1 << 12;
 
 /// Reusable packing workspace for the blocked GEMM driver.
 ///
@@ -270,7 +267,8 @@ mod kernels {
 
 /// The blocked driver shared by all three storage layouts. `a_at(i, kk)`
 /// and `b_at(kk, j)` read logical elements; packing absorbs the layout
-/// differences so one micro-kernel serves `gemm`, `gemm_at` and `gemm_bt`.
+/// differences so one micro-kernel serves `gemm_with`, `gemm_at_with` and
+/// `gemm_bt_with`.
 ///
 /// When `B` is already stored `k×n` row-major the caller passes it as
 /// `direct_b`; wide, short products (few row strips) then skip packing `B`
@@ -503,58 +501,6 @@ pub fn gemm_bt_with(
     blocked(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[j * k + kk], None, c, scratch);
 }
 
-/// `C[m×n] = A[m×k] · B[k×n]`, row-major.
-///
-/// Small products take the naive loop (packing would dominate); larger ones
-/// run the blocked driver with a transient workspace. Callers in hot loops
-/// should hold a [`GemmScratch`] and use [`gemm_with`].
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the dimensions.
-pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm: A length");
-    assert_eq!(b.len(), k * n, "gemm: B length");
-    assert_eq!(c.len(), m * n, "gemm: C length");
-    if m * k * n < SMALL_CUTOFF {
-        reference::gemm(m, k, n, a, b, c);
-    } else {
-        gemm_with(m, k, n, a, b, c, &mut GemmScratch::new());
-    }
-}
-
-/// `C[m×n] = Aᵀ[m×k] · B[k×n]` where `A` is stored as `k×m` row-major.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the dimensions.
-pub fn gemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), k * m, "gemm_at: A length");
-    assert_eq!(b.len(), k * n, "gemm_at: B length");
-    assert_eq!(c.len(), m * n, "gemm_at: C length");
-    if m * k * n < SMALL_CUTOFF {
-        reference::gemm_at(m, k, n, a, b, c);
-    } else {
-        gemm_at_with(m, k, n, a, b, c, &mut GemmScratch::new());
-    }
-}
-
-/// `C[m×n] = A[m×k] · Bᵀ[k×n]` where `B` is stored as `n×k` row-major.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the dimensions.
-pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "gemm_bt: A length");
-    assert_eq!(b.len(), n * k, "gemm_bt: B length");
-    assert_eq!(c.len(), m * n, "gemm_bt: C length");
-    if m * k * n < SMALL_CUTOFF {
-        reference::gemm_bt(m, k, n, a, b, c);
-    } else {
-        gemm_bt_with(m, k, n, a, b, c, &mut GemmScratch::new());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,7 +538,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32) * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32) * 0.25 - 1.0).collect();
         let mut c = vec![0.0; m * n];
-        gemm(m, k, n, &a, &b, &mut c);
+        gemm_with(m, k, n, &a, &b, &mut c, &mut GemmScratch::new());
         assert_eq!(c, naive(m, k, n, &a, &b));
     }
 
@@ -603,7 +549,7 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32) - 3.0).collect();
         let a_stored = transpose(m, k, &a); // stored as k×m
         let mut c = vec![0.0; m * n];
-        gemm_at(m, k, n, &a_stored, &b, &mut c);
+        gemm_at_with(m, k, n, &a_stored, &b, &mut c, &mut GemmScratch::new());
         assert_eq!(c, naive(m, k, n, &a, &b));
     }
 
@@ -614,7 +560,7 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| i as f32 - 5.0).collect(); // logical k×n
         let b_stored = transpose(k, n, &b); // stored as n×k
         let mut c = vec![0.0; m * n];
-        gemm_bt(m, k, n, &a, &b_stored, &mut c);
+        gemm_bt_with(m, k, n, &a, &b_stored, &mut c, &mut GemmScratch::new());
         let expect = naive(m, k, n, &a, &b);
         for (x, y) in c.iter().zip(&expect) {
             assert!((x - y).abs() < 1e-5);
@@ -652,7 +598,7 @@ mod tests {
         let mut want = vec![0.0; m * n];
         reference::gemm(m, k, n, &a, &b, &mut want);
         let mut got = vec![0.0; m * n];
-        gemm(m, k, n, &a, &b, &mut got);
+        gemm_with(m, k, n, &a, &b, &mut got, &mut GemmScratch::new());
         assert_eq!(got, want);
     }
 

@@ -1,4 +1,4 @@
-//! Optimizers.
+//! The optimizer: Adam, with its per-parameter moments kept in [`Param`].
 
 use crate::layer::Param;
 
@@ -79,14 +79,13 @@ impl Adam {
         let b2 = self.beta2;
         let bc1 = 1.0 - b1.powi(self.t as i32);
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        let g = p.grad.as_slice().to_vec();
-        for (((v, m), s), gi) in p
-            .value
+        let Param { value, grad, m, v } = p;
+        for (((v, m), s), gi) in value
             .as_mut_slice()
             .iter_mut()
-            .zip(p.m.as_mut_slice())
-            .zip(p.v.as_mut_slice())
-            .zip(&g)
+            .zip(m.as_mut_slice())
+            .zip(v.as_mut_slice())
+            .zip(grad.as_slice())
         {
             *m = b1 * *m + (1.0 - b1) * gi;
             *s = b2 * *s + (1.0 - b2) * gi * gi;
@@ -100,27 +99,6 @@ impl Adam {
     pub fn step_param(&mut self, p: &mut Param) {
         self.begin_step();
         self.update_param(p);
-    }
-}
-
-/// Plain stochastic gradient descent, used in ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(learning_rate: f32) -> Sgd {
-        Sgd { learning_rate }
-    }
-
-    /// Applies one descent step to a parameter.
-    pub fn update_param(&self, p: &mut Param) {
-        for (v, g) in p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()) {
-            *v -= self.learning_rate * g;
-        }
     }
 }
 
@@ -146,19 +124,6 @@ mod tests {
         let x = quadratic_min(&mut adam, -10.0, 300);
         assert!((x - 3.0).abs() < 0.1, "converged to {x}");
         assert_eq!(adam.steps(), 300);
-    }
-
-    #[test]
-    fn sgd_converges_too() {
-        let mut p = Param::new(Tensor::from_vec(&[1], vec![10.0]));
-        let sgd = Sgd::new(0.1);
-        for _ in 0..200 {
-            let x = p.value.as_slice()[0];
-            p.grad = Tensor::from_vec(&[1], vec![2.0 * x]);
-            sgd.update_param(&mut p);
-            p.zero_grad();
-        }
-        assert!(p.value.as_slice()[0].abs() < 1e-3);
     }
 
     #[test]

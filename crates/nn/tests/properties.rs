@@ -92,10 +92,10 @@ proptest! {
     ) {
         use pdn_nn::serialize::{read_params, write_params};
         let mut a = Conv2d::new(cin, cout, 3, 1, Padding::Zero, IDENTITY, seed);
-        let mut buf = Vec::new();
-        write_params(&mut a, &mut buf).unwrap();
+        let mut w = pdn_core::codec::Writer::default();
+        write_params(|f| a.visit_params(f), &mut w);
         let mut b = Conv2d::new(cin, cout, 3, 1, Padding::Zero, IDENTITY, seed + 999);
-        read_params(&mut b, &mut buf.as_slice()).unwrap();
+        read_params(|f| b.visit_params(f), &w.into_bytes()).unwrap();
         let x = Tensor::filled(&[cin, 5, 5], 0.37);
         prop_assert_eq!(a.forward(&x), b.forward(&x));
     }

@@ -45,6 +45,7 @@
 use crate::error::SimResult;
 use crate::transient::{check_time_step, TransientStats};
 use crate::wnv::{NoiseReport, WnvRunner};
+use pdn_core::codec::{invalid, Reader, Writer};
 use pdn_core::fsio::{self, Digest};
 use pdn_core::map::TileMap;
 use pdn_core::telemetry;
@@ -52,7 +53,7 @@ use pdn_core::units::{Seconds, Volts};
 use pdn_grid::build::PowerGrid;
 use pdn_vectors::vector::TestVector;
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
@@ -610,89 +611,41 @@ impl WnvCache {
 }
 
 fn encode_entry(key: CacheKey, r: &NoiseReport) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&key.0.to_le_bytes());
+    let mut w = Writer::new(MAGIC);
+    w.u64(key.0);
     let (rows, cols) = r.worst_noise.shape();
-    out.extend_from_slice(&(rows as u32).to_le_bytes());
-    out.extend_from_slice(&(cols as u32).to_le_bytes());
-    for v in r.worst_noise.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(&r.max_noise.0.to_le_bytes());
-    out.extend_from_slice(&(r.elapsed.as_nanos() as u64).to_le_bytes());
-    out.extend_from_slice(&(r.stats.steps as u64).to_le_bytes());
-    out.extend_from_slice(&(r.stats.cg_iterations as u64).to_le_bytes());
-    out.extend_from_slice(&r.stats.worst_residual.to_le_bytes());
-    // Seal everything after the magic with a content digest; a torn write
-    // or flipped bit fails verification on load.
-    let seal = fsio::digest_bytes(&out[MAGIC.len()..]);
-    out.extend_from_slice(&seal.to_le_bytes());
-    out
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+    w.u32(rows as u32);
+    w.u32(cols as u32);
+    r.worst_noise.as_slice().iter().for_each(|&v| w.f64(v));
+    w.f64(r.max_noise.0);
+    w.u64(r.elapsed.as_nanos() as u64);
+    w.u64(r.stats.steps as u64);
+    w.u64(r.stats.cg_iterations as u64);
+    w.f64(r.stats.worst_residual);
+    w.seal()
 }
 
 fn decode_entry(bytes: &[u8], expected: CacheKey) -> io::Result<NoiseReport> {
-    if bytes.len() < MAGIC.len() + 8 + 8 + 8 {
-        return Err(invalid("entry shorter than header"));
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(invalid("bad cache-entry magic"));
-    }
-    let (body, seal_bytes) = bytes.split_at(bytes.len() - 8);
-    let seal = u64::from_le_bytes(seal_bytes.try_into().expect("8 bytes"));
-    if fsio::digest_bytes(&body[MAGIC.len()..]) != seal {
-        return Err(invalid("integrity digest mismatch (torn or corrupt entry)"));
-    }
-    let mut r = &body[MAGIC.len()..];
-    let key = read_u64(&mut r)?;
-    if key != expected.0 {
+    let mut r = Reader::sealed(bytes, MAGIC, "entry")?;
+    if r.u64()? != expected.0 {
         return Err(invalid("entry key does not match its address"));
     }
-    let rows = read_u32(&mut r)?;
-    let cols = read_u32(&mut r)?;
-    // The seal is not cryptographic, so a crafted header can pass it: bound
-    // the allocation by the bytes actually present.
-    let n = (rows as usize)
-        .checked_mul(cols as usize)
-        .filter(|&n| n <= r.len() / 8)
-        .ok_or_else(|| invalid("tile map longer than the entry"))?;
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(read_f64(&mut r)?);
-    }
-    let worst_noise = TileMap::from_vec(rows as usize, cols as usize, data)
+    let (rows, cols) = (r.u32()? as usize, r.u32()? as usize);
+    let data = r.f64s(rows.saturating_mul(cols), "tile map")?;
+    let worst_noise = TileMap::from_vec(rows, cols, data)
         .map_err(|e| invalid(format!("bad tile map: {e}")))?;
-    let max_noise = Volts(read_f64(&mut r)?);
-    let elapsed = Duration::from_nanos(read_u64(&mut r)?);
-    let stats = TransientStats {
-        steps: read_u64(&mut r)? as usize,
-        cg_iterations: read_u64(&mut r)? as usize,
-        worst_residual: read_f64(&mut r)?,
+    let report = NoiseReport {
+        worst_noise,
+        max_noise: Volts(r.f64()?),
+        elapsed: Duration::from_nanos(r.u64()?),
+        stats: TransientStats {
+            steps: r.u64()? as usize,
+            cg_iterations: r.u64()? as usize,
+            worst_residual: r.f64()?,
+        },
     };
-    if !r.is_empty() {
-        return Err(invalid("trailing bytes after report"));
-    }
-    Ok(NoiseReport { worst_noise, max_noise, elapsed, stats })
-}
-
-fn read_u32(r: &mut &[u8]) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(|_| invalid("truncated entry"))?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut &[u8]) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(|_| invalid("truncated entry"))?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f64(r: &mut &[u8]) -> io::Result<f64> {
-    read_u64(r).map(f64::from_bits)
+    r.finish()?;
+    Ok(report)
 }
 
 /// Convenience: runs the group through `cache` when one is provided,
@@ -955,6 +908,40 @@ mod tests {
         let err = decode_entry(&bytes, key).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("longer than the entry"), "{err}");
+    }
+
+    #[test]
+    fn entry_bytes_are_pinned() {
+        let tiles = vec![0.0, 1e-3, -2.5, f64::MIN_POSITIVE, 0.125, 3.0];
+        let report = NoiseReport {
+            worst_noise: TileMap::from_vec(2, 3, tiles).unwrap(),
+            max_noise: Volts(3.0),
+            elapsed: Duration::from_nanos(1_234_567_890),
+            stats: TransientStats { steps: 40, cg_iterations: 1234, worst_residual: 1e-9 },
+        };
+        let key = CacheKey(0x0123_4567_89ab_cdef);
+        let bytes = encode_entry(key, &report);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        // Recorded from the encoder before it moved onto `pdn_core::codec`.
+        let pinned = concat!(
+            "50444e574e564332", // magic PDNWNVC2
+            "efcdab8967452301", // key echo
+            "02000000",         // rows
+            "03000000",         // cols
+            "0000000000000000fca9f1d24d62503f00000000000004c0", // tiles, row 0
+            "0000000000001000000000000000c03f0000000000000840", // tiles, row 1
+            "0000000000000840", // max noise
+            "d202964900000000", // elapsed, ns
+            "2800000000000000", // steps
+            "d204000000000000", // CG iterations
+            "95d626e80b2e113e", // worst residual
+            "2b14db702717457c", // seal
+        );
+        assert_eq!(hex, pinned);
+        let back = decode_entry(&bytes, key).unwrap();
+        assert_eq!(back.worst_noise, report.worst_noise);
+        assert_eq!(back.max_noise, report.max_noise);
+        assert_eq!((back.elapsed, back.stats), (report.elapsed, report.stats));
     }
 
     #[test]

@@ -156,7 +156,16 @@ PDN_THREADS=1 ./target/release/pdn predict --model "$d3/model.pdn" \
 pin "$d3/model.pdn" c0003ccdd23c3e6796a833bd2e2afcf70c46f1adf17289f3293a0d2fbad27188
 pin "$d3/predict/D3_seed7_predicted.csv" \
     345142ed3172198b24e83af098fbc3e36d79b7ce85948841731652e2f988871e
-echo "cnn pin: D1 and D3 tiny bundles and predicted maps unchanged"
+# The same D1 run, checkpointed after every epoch: checkpointing must not
+# change training, and the checkpoint's bytes are pinned like the bundle's.
+ck="$cache_dir/ckpt"
+PDN_THREADS=1 ./target/release/pdn train --design D1 --scale tiny --vectors 4 \
+    --steps 30 --epochs 2 --cache-dir none --checkpoint "$ck/train.ckpt" \
+    --checkpoint-every 1 --out "$ck/model.pdn" >/dev/null
+cmp "$cache_dir/threads1/model.pdn" "$ck/model.pdn" \
+    || { echo "checkpoint pin: checkpointing changed the trained bundle"; exit 1; }
+pin "$ck/train.ckpt" 912c83844bc93dc2efa007c738997fd3a3181daad6ae0f9ca21c577f81df34b6
+echo "cnn pin: D1 and D3 tiny bundles, predicted maps and the D1 checkpoint unchanged"
 # 40 RHS = three sweep blocks, so widths 2 and 3 split them across threads.
 for t in 1 2 3; do
     PDN_THREADS=$t ./target/release/pdn factor --design D1 --scale tiny --rhs 40 \
