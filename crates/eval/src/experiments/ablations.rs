@@ -5,7 +5,7 @@
 //! temporal compression cost? how far does a learning-free static shortcut
 //! get? Each variant trains on the same simulated data as the full model.
 
-use crate::harness::{EvaluatedDesign, ExperimentConfig, PreparedDesign};
+use crate::harness::{EvalOptions, EvaluatedDesign, ExperimentConfig, PreparedDesign};
 use crate::metrics::{pooled_error_stats, ErrorStats};
 use crate::report::TextTable;
 use pdn_core::map::TileMap;
@@ -29,6 +29,17 @@ pub struct Ablations {
     pub rows: Vec<AblationRow>,
 }
 
+/// Trains and scores one learned variant on the shared simulation.
+fn evaluate(
+    prepared: PreparedDesign,
+    config: &ExperimentConfig,
+    zero_distance: bool,
+) -> EvaluatedDesign {
+    let options = EvalOptions { zero_distance, ..EvalOptions::default() };
+    EvaluatedDesign::evaluate_prepared(prepared, config, &options)
+        .expect("ablations need a split with training and test vectors")
+}
+
 /// Runs the ablation suite on one design. Simulation is shared; each
 /// learned variant trains from scratch with `config.train`.
 ///
@@ -44,7 +55,7 @@ pub fn run(prepared: PreparedDesign, config: &ExperimentConfig) -> Ablations {
     let mut rows = Vec::new();
 
     // --- full model ---
-    let full = EvaluatedDesign::evaluate_prepared(prepared, config);
+    let full = evaluate(prepared, config, false);
     rows.push(AblationRow {
         variant: "full".to_string(),
         errors: pooled_error_stats(&full.test_pairs),
@@ -53,7 +64,7 @@ pub fn run(prepared: PreparedDesign, config: &ExperimentConfig) -> Ablations {
 
     // --- no distance feature ---
     {
-        let eval = EvaluatedDesign::evaluate_prepared_with(prepared, config, true);
+        let eval = evaluate(prepared, config, true);
         rows.push(AblationRow {
             variant: "no-distance".to_string(),
             errors: pooled_error_stats(&eval.test_pairs),
@@ -62,7 +73,7 @@ pub fn run(prepared: PreparedDesign, config: &ExperimentConfig) -> Ablations {
 
         // --- no temporal compression ---
         let uncompressed = ExperimentConfig { compression_rate: 1.0, ..*config };
-        let eval = EvaluatedDesign::evaluate_prepared(prepared, &uncompressed);
+        let eval = evaluate(prepared, &uncompressed, false);
         rows.push(AblationRow {
             variant: "no-compression".to_string(),
             errors: pooled_error_stats(&eval.test_pairs),

@@ -6,7 +6,7 @@
 //! (b) prediction runtime vs `r` — near-linear, since the fusion subnet's
 //! cost is proportional to the number of kept stamps.
 
-use crate::harness::{EvaluatedDesign, ExperimentConfig, PreparedDesign};
+use crate::harness::{EvalOptions, EvaluatedDesign, ExperimentConfig, PreparedDesign};
 use crate::metrics::pooled_error_stats;
 use crate::render::write_series_csv;
 use std::path::Path;
@@ -43,7 +43,8 @@ pub fn run(prepared: PreparedDesign, rates: &[f64], config: &ExperimentConfig) -
     let mut prep = prepared;
     for &rate in rates {
         let cfg = ExperimentConfig { compression_rate: rate, ..*config };
-        let eval = EvaluatedDesign::evaluate_prepared(prep, &cfg);
+        let eval = EvaluatedDesign::evaluate_prepared(prep, &cfg, &EvalOptions::default())
+            .expect("the sweep needs a split with training and test vectors");
         let stats = pooled_error_stats(&eval.test_pairs);
         points.push(Fig6Point {
             rate,

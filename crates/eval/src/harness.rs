@@ -36,6 +36,31 @@ pub struct EvalOptions<'a> {
     pub solver: SolverKind,
 }
 
+/// A vector group too small to evaluate: its split leaves no training
+/// vector or no test vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooFewVectors {
+    /// Vectors in the group.
+    pub vectors: usize,
+    /// Training vectors the split chose.
+    pub train: usize,
+    /// Test vectors the split left.
+    pub test: usize,
+}
+
+impl std::fmt::Display for TooFewVectors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} vectors split into {} training and {} test vectors; \
+             evaluation needs at least one of each",
+            self.vectors, self.train, self.test
+        )
+    }
+}
+
+impl std::error::Error for TooFewVectors {}
+
 /// Configuration of a full experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
@@ -131,14 +156,17 @@ impl PreparedDesign {
         preset: DesignPreset,
         config: &ExperimentConfig,
     ) -> Result<PreparedDesign, pdn_sim::error::SimError> {
-        Self::prepare_with(preset, config, None)
+        Self::prepare_with(preset, config, &EvalOptions::default())
     }
 
-    /// Like [`PreparedDesign::prepare`], serving the ground-truth reports
-    /// from `cache` when an identical (design, vectors, solver) run was
-    /// simulated before. Cache hits skip the transient solves entirely;
-    /// the cached reports keep their original per-vector simulator times,
-    /// so speedup tables remain meaningful.
+    /// Like [`PreparedDesign::prepare`] with `options.solver` simulating
+    /// the ground truth, served from `options.cache` when an identical
+    /// (design, vector, solver) run was simulated before. Cache hits skip
+    /// the transient solves entirely; the cached reports keep their
+    /// original per-vector simulator times, so speedup tables remain
+    /// meaningful. The solver settings are part of the cache key, so
+    /// switching solvers re-simulates rather than serving the other
+    /// solver's entries.
     ///
     /// # Errors
     ///
@@ -146,23 +174,7 @@ impl PreparedDesign {
     pub fn prepare_with(
         preset: DesignPreset,
         config: &ExperimentConfig,
-        cache: Option<&WnvCache>,
-    ) -> Result<PreparedDesign, pdn_sim::error::SimError> {
-        Self::prepare_opts(preset, config, cache, SolverKind::default())
-    }
-
-    /// Like [`PreparedDesign::prepare_with`] with an explicit ground-truth
-    /// solver. The solver settings are part of the cache key, so switching
-    /// solvers re-simulates rather than serving the other solver's entries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    pub fn prepare_opts(
-        preset: DesignPreset,
-        config: &ExperimentConfig,
-        cache: Option<&WnvCache>,
-        solver: SolverKind,
+        options: &EvalOptions<'_>,
     ) -> Result<PreparedDesign, pdn_sim::error::SimError> {
         let mut span = pdn_core::telemetry::span("eval.prepare");
         span.field("design", preset.name());
@@ -175,10 +187,10 @@ impl PreparedDesign {
         );
         let vectors = gen.generate_group(config.vectors, config.seed);
         let t_setup = Instant::now();
-        let runner = WnvRunner::with_solver(&grid, solver)?;
+        let runner = WnvRunner::with_solver(&grid, options.solver)?;
         let setup_time = t_setup.elapsed();
         let t_sim = Instant::now();
-        let reports = run_group_cached(cache, &runner, &grid, &vectors)?;
+        let reports = run_group_cached(options.cache, &runner, &grid, &vectors)?;
         let sim_wall = t_sim.elapsed();
         let total: Duration = reports.iter().map(|r| r.elapsed).sum();
         let sim_time_per_vector = total / reports.len().max(1) as u32;
@@ -236,13 +248,13 @@ impl EvaluatedDesign {
     ///
     /// # Errors
     ///
-    /// Propagates simulator failures from the preparation stage.
+    /// Propagates simulator failures from the preparation stage, and
+    /// [`TooFewVectors`] when the split leaves no training or test vector.
     pub fn evaluate(
         preset: DesignPreset,
         config: &ExperimentConfig,
-    ) -> Result<EvaluatedDesign, pdn_sim::error::SimError> {
-        let prepared = PreparedDesign::prepare(preset, config)?;
-        Ok(Self::evaluate_prepared(prepared, config))
+    ) -> Result<EvaluatedDesign, Box<dyn std::error::Error>> {
+        Self::evaluate_with(preset, config, &EvalOptions::default())
     }
 
     /// Runs the full pipeline with crash-safety options: cached ground
@@ -250,49 +262,36 @@ impl EvaluatedDesign {
     ///
     /// # Errors
     ///
-    /// Propagates simulator failures and checkpoint I/O errors.
+    /// Propagates simulator failures, [`TooFewVectors`] and checkpoint I/O
+    /// errors.
     pub fn evaluate_with(
         preset: DesignPreset,
         config: &ExperimentConfig,
         options: &EvalOptions<'_>,
     ) -> Result<EvaluatedDesign, Box<dyn std::error::Error>> {
-        let prepared =
-            PreparedDesign::prepare_opts(preset, config, options.cache, options.solver)?;
-        Ok(Self::evaluate_prepared_opts(prepared, config, options)?)
+        let prepared = PreparedDesign::prepare_with(preset, config, options)?;
+        Self::evaluate_prepared(prepared, config, options)
     }
 
     /// Runs dataset assembly, training and test-set prediction on an
-    /// already-simulated design.
-    pub fn evaluate_prepared(
-        prepared: PreparedDesign,
-        config: &ExperimentConfig,
-    ) -> EvaluatedDesign {
-        Self::evaluate_prepared_with(prepared, config, false)
-    }
-
-    /// Like [`EvaluatedDesign::evaluate_prepared`], optionally zeroing the
-    /// distance feature (the `no-distance` ablation).
-    pub fn evaluate_prepared_with(
-        prepared: PreparedDesign,
-        config: &ExperimentConfig,
-        zero_distance: bool,
-    ) -> EvaluatedDesign {
-        let options = EvalOptions { zero_distance, ..EvalOptions::default() };
-        Self::evaluate_prepared_opts(prepared, config, &options)
-            .expect("checkpointing disabled, no I/O can fail")
-    }
-
-    /// The option-carrying core of [`EvaluatedDesign::evaluate_prepared`].
+    /// already-simulated design. Of `options`, the checkpoints and
+    /// `zero_distance` apply; the cache and solver were used when the
+    /// design was prepared.
     ///
     /// # Errors
     ///
-    /// Propagates training-checkpoint I/O errors (corrupt resume file,
-    /// failed checkpoint write).
-    pub fn evaluate_prepared_opts(
+    /// [`TooFewVectors`] before training when the split leaves no training
+    /// vector or no test vector; training-checkpoint I/O errors (corrupt
+    /// resume file, failed checkpoint write).
+    pub fn evaluate_prepared(
         prepared: PreparedDesign,
         config: &ExperimentConfig,
         options: &EvalOptions<'_>,
-    ) -> std::io::Result<EvaluatedDesign> {
+    ) -> Result<EvaluatedDesign, Box<dyn std::error::Error>> {
+        let vectors = prepared.vectors.len();
+        if vectors == 0 {
+            return Err(TooFewVectors { vectors, train: 0, test: 0 }.into());
+        }
         let compressor = config.compressor();
         let mut dataset =
             Dataset::build(&prepared.grid, &prepared.vectors, &prepared.reports, Some(&compressor));
@@ -300,6 +299,10 @@ impl EvaluatedDesign {
             dataset.distance.zero();
         }
         let split = dataset.split(0.6, config.seed);
+        if split.train.is_empty() || split.test.is_empty() {
+            let (train, test) = (split.train.len(), split.test.len());
+            return Err(TooFewVectors { vectors, train, test }.into());
+        }
         let mut model =
             WnvModel::new(prepared.grid.bumps().len(), config.model, config.seed);
         let trainer = Trainer::new(config.train);
@@ -386,6 +389,19 @@ mod tests {
         assert!(last < eval.history.epochs[0].train_loss);
         // Prediction is faster than simulation even at tiny scale.
         assert!(eval.speedup() > 1.0, "speedup {}", eval.speedup());
+    }
+
+    #[test]
+    fn a_split_without_a_training_or_test_vector_is_an_error() {
+        for vectors in [0, 1, 2] {
+            let cfg = ExperimentConfig { vectors, steps: 20, ..ExperimentConfig::quick() };
+            let err = EvaluatedDesign::evaluate(DesignPreset::D1, &cfg).unwrap_err();
+            let Some(too_few) = err.downcast_ref::<TooFewVectors>() else {
+                panic!("{vectors} vectors: {err}");
+            };
+            assert_eq!(too_few.vectors, vectors);
+            assert!(too_few.train == 0 || too_few.test == 0, "{too_few}");
+        }
     }
 
     #[test]

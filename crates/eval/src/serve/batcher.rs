@@ -83,15 +83,15 @@ impl BatcherStats {
         self.max_width.fetch_max(width as u64, Ordering::Relaxed);
     }
 
-    /// Claims one pending slot and returns the depth *before* the claim;
-    /// admission control compares it against the queue cap. The claimant
+    /// Takes one pending slot and returns the depth *before* it was taken;
+    /// admission control compares it against the queue cap. The caller
     /// must pair this with [`BatcherStats::release_pending`] once the job
     /// is answered (or was never enqueued).
-    pub fn claim_pending(&self) -> u64 {
+    pub fn acquire_pending(&self) -> u64 {
         self.pending.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Releases a slot claimed by [`BatcherStats::claim_pending`].
+    /// Releases a slot taken by [`BatcherStats::acquire_pending`].
     pub fn release_pending(&self) {
         self.pending.fetch_sub(1, Ordering::Relaxed);
     }
@@ -274,8 +274,8 @@ mod tests {
     fn pending_slots_claim_and_release() {
         let stats = BatcherStats::default();
         assert_eq!(stats.pending(), 0);
-        assert_eq!(stats.claim_pending(), 0);
-        assert_eq!(stats.claim_pending(), 1);
+        assert_eq!(stats.acquire_pending(), 0);
+        assert_eq!(stats.acquire_pending(), 1);
         assert_eq!(stats.pending(), 2);
         stats.release_pending();
         assert_eq!(stats.pending(), 1);

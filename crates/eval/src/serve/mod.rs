@@ -12,9 +12,9 @@
 //! * **Single inference owner**: exactly one thread owns the `Predictor`
 //!   (and one the simulator), so the scratch-reuse fast paths need no
 //!   locking and served answers are bitwise identical to offline calls.
-//! * **Cached ground truth**: simulate requests go through the
-//!   [`CacheStore`](pdn_sim::cache::CacheStore) seam with single-flight
-//!   deduplication — two concurrent misses on one key simulate once.
+//! * **Cached ground truth**: the simulate batcher runs each batch through
+//!   [`run_group_cached`], so a vector simulated before is served from the
+//!   on-disk cache.
 //! * **Observability**: every request is minted an ID at accept time
 //!   (honoring a sane client-supplied `x-pdn-request-id`), runs under a
 //!   telemetry span carrying it, rides it through the batcher's batch
@@ -626,7 +626,7 @@ fn dispatch<T: Send + 'static>(
     vector: TestVector,
     unwrap_result: impl Fn(T) -> Result<MapResponse, String>,
 ) -> Routed {
-    let depth_before = stats.claim_pending();
+    let depth_before = stats.acquire_pending();
     if ctx.max_queue > 0 && depth_before >= ctx.max_queue as u64 {
         stats.release_pending();
         telemetry::counter_add("serve.rejected_total", 1);

@@ -12,7 +12,8 @@
 //!   capacitance, bumps, loads), so the build seed's placement jitter is
 //!   captured by content rather than by trusting a seed label;
 //! * the test vector itself, byte for byte (`dt` + all current samples);
-//! * the solver settings ([`TransientSimulator::digest_solver_settings`]);
+//! * the solver settings
+//!   ([`TransientSimulator::digest_solver_settings`](crate::transient::TransientSimulator::digest_solver_settings));
 //! * a format-version tag, so changing this file's layout invalidates old
 //!   entries instead of misreading them.
 //!
@@ -27,20 +28,15 @@
 //! check on load, is deleted, and the group is re-simulated — a corrupt
 //! cache can cost time but can never poison training data.
 //!
-//! Storage is abstracted behind the [`CacheStore`] trait — today's only
-//! implementation is the filesystem-backed [`WnvCache`], but the group-run
-//! logic ([`run_group_store`]) is written against the trait so a shared
-//! fleet backend (HTTP, object store) can slot in without touching callers.
-//!
-//! Concurrent misses on the same key are **single-flighted**: a process-wide
-//! in-flight registry lets exactly one thread simulate and publish a given
-//! entry while other threads wait for it and then read the stored result,
-//! instead of every thread paying the full simulation and racing to publish.
+//! Every caller runs the cache from one thread (the harness, the CLI and
+//! `pdn serve`'s simulate batcher), but nothing depends on that: two
+//! threads that miss one key both simulate it, get the same noise map and
+//! both store it. [`fsio::atomic_write`] stages each writer in its own
+//! temp file and renames it into place, so a reader sees no entry or a
+//! whole one, and the last rename leaves one sealed entry.
 //!
 //! Telemetry: `sim.wnv.cache.hits` / `.misses` / `.invalidations` /
-//! `.stores` / `.evictions` count cache outcomes per process;
-//! `sim.wnv.cache.single_flight_waits` counts requests served by waiting on
-//! another thread's in-flight simulation.
+//! `.stores` / `.evictions` count cache outcomes per process.
 
 use crate::error::SimResult;
 use crate::transient::{check_time_step, TransientStats};
@@ -52,10 +48,8 @@ use pdn_core::telemetry;
 use pdn_core::units::{Seconds, Volts};
 use pdn_grid::build::PowerGrid;
 use pdn_vectors::vector::TestVector;
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"PDNWNVC2";
@@ -132,110 +126,6 @@ pub fn vector_cache_key_from(base: &Digest, v: &TestVector) -> CacheKey {
 /// given runner's solver settings.
 pub fn cache_key(grid: &PowerGrid, vector: &TestVector, runner: &WnvRunner) -> CacheKey {
     vector_cache_key_from(&group_digest(grid, runner), vector)
-}
-
-/// Storage backend for ground-truth cache entries.
-///
-/// [`WnvCache`] is the filesystem implementation; the seam exists so a
-/// fleet of serve workers can later share one simulation pool through a
-/// remote backend. Implementations must be safe to call from multiple
-/// threads: [`run_group_store`] layers single-flight deduplication on top,
-/// but `lookup`/`store` themselves may still run concurrently for
-/// *different* keys.
-pub trait CacheStore: Send + Sync {
-    /// Looks one vector's entry up, returning `None` on a miss (including
-    /// a corrupt entry the implementation chose to drop).
-    fn lookup(&self, key: CacheKey) -> Option<NoiseReport>;
-
-    /// Durably stores one vector's report under `key`. Must be atomic:
-    /// a concurrent `lookup` sees either nothing or the complete entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend I/O errors; the caller degrades to a warning and
-    /// still returns the simulated report.
-    fn store(&self, key: CacheKey, report: &NoiseReport) -> io::Result<()>;
-}
-
-impl CacheStore for WnvCache {
-    fn lookup(&self, key: CacheKey) -> Option<NoiseReport> {
-        WnvCache::lookup(self, key)
-    }
-
-    fn store(&self, key: CacheKey, report: &NoiseReport) -> io::Result<()> {
-        WnvCache::store(self, key, report)
-    }
-}
-
-/// One in-flight simulation: waiters block on the condvar until the owner
-/// finishes (successfully or not) and then re-check the store.
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight { done: Mutex::new(false), cv: Condvar::new() }
-    }
-
-    fn wait(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = self.cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Process-wide registry of in-flight cache fills, keyed by [`CacheKey`].
-///
-/// The registry is global rather than per-[`WnvCache`] because `WnvCache`
-/// is `Clone` — concurrent callers typically hold *different* clones of the
-/// same directory, and per-instance state would not deduplicate across
-/// them. Keys are content digests of grid + solver + vector, so distinct
-/// cache directories colliding on a key would be computing the identical
-/// report anyway.
-fn flights() -> &'static Mutex<HashMap<u64, Arc<Flight>>> {
-    static FLIGHTS: OnceLock<Mutex<HashMap<u64, Arc<Flight>>>> = OnceLock::new();
-    FLIGHTS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// RAII ownership of one in-flight key: dropping (on any path, including
-/// unwind or simulator error) deregisters the flight and wakes all waiters,
-/// who then re-check the store and simulate themselves if the owner failed.
-struct FlightOwner {
-    key: u64,
-    flight: Arc<Flight>,
-}
-
-impl Drop for FlightOwner {
-    fn drop(&mut self) {
-        let mut m = flights().lock().unwrap_or_else(|e| e.into_inner());
-        m.remove(&self.key);
-        drop(m);
-        let mut done = self.flight.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.flight.cv.notify_all();
-    }
-}
-
-enum Claim {
-    Owner(FlightOwner),
-    Waiter(Arc<Flight>),
-}
-
-/// Claims the right to fill `key`: the first claimant becomes the owner,
-/// later claimants get a handle to wait on.
-fn claim(key: CacheKey) -> Claim {
-    let mut m = flights().lock().unwrap_or_else(|e| e.into_inner());
-    match m.entry(key.0) {
-        std::collections::hash_map::Entry::Occupied(e) => Claim::Waiter(Arc::clone(e.get())),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let flight = Arc::new(Flight::new());
-            e.insert(Arc::clone(&flight));
-            Claim::Owner(FlightOwner { key: key.0, flight })
-        }
-    }
 }
 
 /// [`WnvCache::configured_dir`] on explicit inputs: the flag wins over the
@@ -321,78 +211,30 @@ impl WnvCache {
         let payload = encode_entry(key, report);
         fsio::atomic_write(self.entry_path(key), &payload)
     }
-
-    /// Cached [`WnvRunner::run_group`] with per-vector granularity: each
-    /// vector whose key hits is served from disk; only the misses are
-    /// simulated (batched together in one group run, which is bitwise
-    /// identical to solo runs) and stored. Changing one vector of a cached
-    /// group therefore costs one simulation, not the whole group. A store
-    /// failure degrades to a warning — the simulated reports are still
-    /// returned. Concurrent misses on the same key across threads are
-    /// single-flighted (see [`run_group_store`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures on the miss path.
-    pub fn run_group(
-        &self,
-        runner: &WnvRunner,
-        grid: &PowerGrid,
-        vectors: &[TestVector],
-    ) -> SimResult<Vec<NoiseReport>> {
-        run_group_store(self, runner, grid, vectors)
-    }
 }
 
-/// Simulates `missing` as one group and publishes each report to `store`,
-/// counting successful stores. Store failures degrade to a warning.
-fn simulate_and_publish(
-    store: &(impl CacheStore + ?Sized),
-    runner: &WnvRunner,
-    vectors: &[TestVector],
-    idx: &[usize],
-    keys: &[CacheKey],
-    results: &mut [Option<NoiseReport>],
-) -> SimResult<()> {
-    let missing: Vec<TestVector> = idx.iter().map(|&i| vectors[i].clone()).collect();
-    let simulated = runner.run_group(&missing)?;
-    for (&i, report) in idx.iter().zip(simulated) {
-        match store.store(keys[i], &report) {
-            Ok(()) => telemetry::counter_add("sim.wnv.cache.stores", 1),
-            Err(e) => {
-                eprintln!("warning: wnv cache: cannot store entry {}: {e}", keys[i].hex())
-            }
-        }
-        results[i] = Some(report);
-    }
-    Ok(())
-}
-
-/// Cached group run against any [`CacheStore`], with single-flight
-/// deduplication of concurrent misses.
-///
-/// For every miss the thread claims the key in the process-wide in-flight
-/// registry. Claims it wins are re-checked against the store (another
-/// thread may have published between the first lookup and the claim) and
-/// then simulated together as one group — keeping the multi-RHS batched
-/// solve — and published before the claim is released. Claims another
-/// thread already holds are waited on and then served from the store,
-/// counted as `sim.wnv.cache.single_flight_waits`; if the owning thread
-/// failed (simulator error, store error), the waiter falls back to
-/// simulating the leftovers itself, so single-flight can never turn one
-/// thread's failure into another's missing result.
+/// Runs a vector group through `cache` when one is given, else simulates
+/// it directly. Each vector whose key hits is served from disk; only the
+/// misses are simulated, together in one [`WnvRunner::run_group`] (bitwise
+/// identical to solo runs), and stored. Changing one vector of a cached
+/// group therefore costs one simulation, not the whole group. A store
+/// failure degrades to a warning: the simulated reports are still
+/// returned.
 ///
 /// # Errors
 ///
 /// [`crate::SimError::TimeStepMismatch`] for a vector sampled at another
 /// time step than the runner's, before any lookup; propagates simulator
 /// failures on the miss path.
-pub fn run_group_store(
-    store: &(impl CacheStore + ?Sized),
+pub fn run_group_cached(
+    cache: Option<&WnvCache>,
     runner: &WnvRunner,
     grid: &PowerGrid,
     vectors: &[TestVector],
 ) -> SimResult<Vec<NoiseReport>> {
+    let Some(cache) = cache else {
+        return runner.run_group(vectors);
+    };
     // Before any lookup: an entry stored for a mismatched vector (by a
     // build that did not check) must not answer it.
     let dt = Seconds(runner.simulator().time_step());
@@ -401,83 +243,23 @@ pub fn run_group_store(
     }
     let base = group_digest(grid, runner);
     let keys: Vec<CacheKey> = vectors.iter().map(|v| vector_cache_key_from(&base, v)).collect();
-    let mut results: Vec<Option<NoiseReport>> = keys.iter().map(|&k| store.lookup(k)).collect();
-    let hits = results.iter().filter(|r| r.is_some()).count();
-    let misses = vectors.len() - hits;
-    telemetry::counter_add("sim.wnv.cache.hits", hits as u64);
-    telemetry::counter_add("sim.wnv.cache.misses", misses as u64);
-    if misses == 0 {
-        return Ok(results.into_iter().map(|r| r.expect("all slots filled")).collect());
-    }
-
-    // Deduplicate repeated keys inside this group (identical vectors): one
-    // representative index goes through the claim/simulate path, the rest
-    // copy its result at the end. Without this, claiming the same key twice
-    // from one thread would deadlock on our own flight.
-    let mut first_of: HashMap<u64, usize> = HashMap::new();
-    let mut dups: Vec<(usize, usize)> = Vec::new();
-    let mut unique_missing: Vec<usize> = Vec::new();
-    for i in 0..vectors.len() {
-        if results[i].is_some() {
-            continue;
-        }
-        match first_of.entry(keys[i].0) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(i);
-                unique_missing.push(i);
-            }
-            std::collections::hash_map::Entry::Occupied(e) => dups.push((i, *e.get())),
-        }
-    }
-
-    let mut owned_idx: Vec<usize> = Vec::new();
-    let mut owned_guards: Vec<FlightOwner> = Vec::new();
-    let mut waits: Vec<(usize, Arc<Flight>)> = Vec::new();
-    for &i in &unique_missing {
-        match claim(keys[i]) {
-            Claim::Owner(guard) => {
-                // Double-check: another thread may have published this key
-                // between our lookup above and winning the claim.
-                if let Some(report) = store.lookup(keys[i]) {
-                    results[i] = Some(report);
-                    drop(guard);
-                } else {
-                    owned_idx.push(i);
-                    owned_guards.push(guard);
+    let mut results: Vec<Option<NoiseReport>> = keys.iter().map(|&k| cache.lookup(k)).collect();
+    let missing: Vec<usize> = (0..vectors.len()).filter(|&i| results[i].is_none()).collect();
+    telemetry::counter_add("sim.wnv.cache.hits", (vectors.len() - missing.len()) as u64);
+    telemetry::counter_add("sim.wnv.cache.misses", missing.len() as u64);
+    if !missing.is_empty() {
+        let group: Vec<TestVector> = missing.iter().map(|&i| vectors[i].clone()).collect();
+        for (&i, report) in missing.iter().zip(runner.run_group(&group)?) {
+            match cache.store(keys[i], &report) {
+                Ok(()) => telemetry::counter_add("sim.wnv.cache.stores", 1),
+                Err(e) => {
+                    eprintln!("warning: wnv cache: cannot store entry {}: {e}", keys[i].hex())
                 }
             }
-            Claim::Waiter(flight) => waits.push((i, flight)),
+            results[i] = Some(report);
         }
     }
-
-    if !owned_idx.is_empty() {
-        // On error the guards drop with the early return, waking waiters so
-        // they re-check and simulate for themselves.
-        simulate_and_publish(store, runner, vectors, &owned_idx, &keys, &mut results)?;
-    }
-    // Release our claims only after the entries are published, so woken
-    // waiters find them in the store.
-    drop(owned_guards);
-
-    let mut leftovers: Vec<usize> = Vec::new();
-    for (i, flight) in waits {
-        flight.wait();
-        match store.lookup(keys[i]) {
-            Some(report) => {
-                telemetry::counter_add("sim.wnv.cache.single_flight_waits", 1);
-                results[i] = Some(report);
-            }
-            None => leftovers.push(i),
-        }
-    }
-    if !leftovers.is_empty() {
-        simulate_and_publish(store, runner, vectors, &leftovers, &keys, &mut results)?;
-    }
-
-    for (i, first) in dups {
-        results[i] = results[first].clone();
-    }
-    Ok(results.into_iter().map(|r| r.expect("all slots filled")).collect())
+    Ok(results.into_iter().map(|r| r.expect("every miss was simulated")).collect())
 }
 
 /// A size/age summary of a cache directory (`pdn cache stats`).
@@ -648,24 +430,6 @@ fn decode_entry(bytes: &[u8], expected: CacheKey) -> io::Result<NoiseReport> {
     Ok(report)
 }
 
-/// Convenience: runs the group through `cache` when one is provided,
-/// otherwise simulates directly.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn run_group_cached(
-    cache: Option<&WnvCache>,
-    runner: &WnvRunner,
-    grid: &PowerGrid,
-    vectors: &[TestVector],
-) -> SimResult<Vec<NoiseReport>> {
-    match cache {
-        Some(c) => c.run_group(runner, grid, vectors),
-        None => runner.run_group(vectors),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,8 +455,8 @@ mod tests {
         let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("roundtrip");
-        let first = cache.run_group(&runner, &grid, &vectors).unwrap();
-        let second = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let first = run_group_cached(Some(&cache), &runner, &grid, &vectors).unwrap();
+        let second = run_group_cached(Some(&cache), &runner, &grid, &vectors).unwrap();
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.worst_noise, b.worst_noise);
@@ -710,12 +474,12 @@ mod tests {
         let cache = tmp_cache("hits");
         pdn_core::telemetry::reset();
         pdn_core::telemetry::enable();
-        let _ = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let _ = run_group_cached(Some(&cache), &runner, &grid, &vectors).unwrap();
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.misses"), 3);
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.stores"), 3);
         let simulated_after_first =
             pdn_core::telemetry::counter_value("sim.wnv.vectors");
-        let _ = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let _ = run_group_cached(Some(&cache), &runner, &grid, &vectors).unwrap();
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.hits"), 3);
         // No additional vectors were simulated on the hit path.
         assert_eq!(
@@ -733,14 +497,14 @@ mod tests {
         let cache = tmp_cache("partial");
         let solo: Vec<NoiseReport> =
             vectors.iter().map(|v| runner.run(v).unwrap()).collect();
-        let _ = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let _ = run_group_cached(Some(&cache), &runner, &grid, &vectors).unwrap();
         // Swap the middle vector for a fresh one; the other two must hit.
         let gen = VectorGenerator::new(&grid, GeneratorConfig { steps: 30, ..Default::default() });
         let mut changed = vectors.clone();
         changed[1] = gen.generate_group(1, 99).pop().unwrap();
         pdn_core::telemetry::reset();
         pdn_core::telemetry::enable();
-        let reports = cache.run_group(&runner, &grid, &changed).unwrap();
+        let reports = run_group_cached(Some(&cache), &runner, &grid, &changed).unwrap();
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.hits"), 2);
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.misses"), 1);
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.stores"), 1);
@@ -753,6 +517,30 @@ mod tests {
         assert_eq!(reports[2].worst_noise, solo[2].worst_noise);
         let solo_changed = runner.run(&changed[1]).unwrap();
         assert_eq!(reports[1].worst_noise, solo_changed.worst_noise);
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn a_group_that_repeats_a_vector_gets_the_same_report_for_each_copy() {
+        let _serial = crate::telemetry_test_lock();
+        let (grid, runner, vectors) = fixture();
+        let cache = tmp_cache("repeat");
+        let solo = runner.run(&vectors[0]).unwrap();
+        let group = [vectors[0].clone(), vectors[1].clone(), vectors[0].clone()];
+        pdn_core::telemetry::reset();
+        pdn_core::telemetry::enable();
+        // The first run simulates both copies in one lockstep batch and
+        // stores each; the second serves both from the one entry.
+        for (hits, stores) in [(0, 3), (3, 3)] {
+            let reports = run_group_cached(Some(&cache), &runner, &grid, &group).unwrap();
+            assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.hits"), hits);
+            assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.stores"), stores);
+            for r in [&reports[0], &reports[2]] {
+                assert_eq!(r.worst_noise, solo.worst_noise);
+                assert_eq!(r.max_noise, solo.max_noise);
+            }
+        }
+        pdn_core::telemetry::reset();
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
@@ -778,7 +566,7 @@ mod tests {
         let _serial = crate::telemetry_test_lock();
         let (grid, runner, vectors) = fixture();
         let cache = tmp_cache("corrupt");
-        let first = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let first = run_group_cached(Some(&cache), &runner, &grid, &vectors).unwrap();
         let key = cache_key(&grid, &vectors[0], &runner);
         let path = cache.dir().join(format!("{}.wnv", key.hex()));
         // Flip one payload byte: the integrity seal must reject the entry.
@@ -788,7 +576,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         pdn_core::telemetry::reset();
         pdn_core::telemetry::enable();
-        let again = cache.run_group(&runner, &grid, &vectors).unwrap();
+        let again = run_group_cached(Some(&cache), &runner, &grid, &vectors).unwrap();
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.invalidations"), 1);
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.misses"), 1);
         assert_eq!(pdn_core::telemetry::counter_value("sim.wnv.cache.hits"), 2);

@@ -262,6 +262,36 @@ grep -q 'unknown flag --quik' <<<"$flag_out" \
 echo "unknown flags: predict --precision, simulate --sovler and experiments --quik rejected by name"
 
 echo
+echo "== bad CLI values =="
+# A count that leaves nothing to simulate or test, or a gc bound that
+# cannot be honoured, must fail by name: exit 1, the flag on the error
+# line, no panic, and no entry evicted from the cache it was pointed at.
+bad_value() {  # bad_value FLAG ARGS...
+    local flag="$1" status=0
+    shift
+    ./target/release/pdn "$@" >/dev/null 2>"$cache_dir/bad.err" || status=$?
+    if [[ $status != 1 ]] || grep -q panicked "$cache_dir/bad.err" \
+        || ! grep -q -e "^error:.*$flag" "$cache_dir/bad.err"; then
+        echo "bad value: pdn $* exited $status without naming $flag"
+        cat "$cache_dir/bad.err"
+        exit 1
+    fi
+}
+bad_value --steps simulate --design D1 --steps 0
+bad_value --vectors eval --design D1 --vectors 1 --steps 20 --epochs 1 --cache-dir none
+entries=("$cache_dir"/cache/*.wnv)
+for bound in "--max-age-days inf" "--max-mb nan"; do
+    gc_dir="$cache_dir/gc${bound%% *}"
+    mkdir -p "$gc_dir"
+    cp "${entries[0]}" "$gc_dir/"
+    # shellcheck disable=SC2086 # the bound is a flag and its value
+    bad_value "${bound%% *}" cache gc --cache-dir "$gc_dir" $bound
+    [[ -f "$gc_dir/$(basename "${entries[0]}")" ]] \
+        || { echo "bad value: pdn cache gc $bound evicted the planted entry"; exit 1; }
+done
+echo "bad values: --steps 0, --vectors 1, gc --max-age-days inf and --max-mb nan refused by name"
+
+echo
 echo "== vector time step =="
 # The engine steps at the design's time step, so a vector CSV sampled at
 # another one (its dt_ps= header) must be refused, not run at 10 ps.

@@ -15,7 +15,7 @@
 
 use pdn_wnv::core::telemetry;
 use pdn_wnv::core::units::Volts;
-use pdn_wnv::eval::harness::{EvalOptions, EvaluatedDesign, ExperimentConfig};
+use pdn_wnv::eval::harness::{EvalOptions, EvaluatedDesign, ExperimentConfig, TooFewVectors};
 use pdn_wnv::eval::render::{ascii_map, write_csv};
 use pdn_wnv::eval::tracereport::{self, ReportOptions, TelemetryLog};
 use pdn_wnv::grid::design::{DesignPreset, DesignScale};
@@ -398,6 +398,17 @@ where
     }
 }
 
+/// `--steps N`, the time stamps per generated vector: at least one.
+fn steps(
+    opts: &HashMap<String, String>,
+    default: usize,
+) -> Result<usize, Box<dyn std::error::Error>> {
+    match parse(opts, "steps", default)? {
+        0 => Err("bad --steps: a vector needs at least one time step".into()),
+        steps => Ok(steps),
+    }
+}
+
 /// Like [`parse`] without a default: `Ok(None)` when the flag is absent.
 fn parse_opt<T: std::str::FromStr>(
     opts: &HashMap<String, String>,
@@ -442,8 +453,25 @@ fn cache_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             if max_mb.is_none() && max_days.is_none() {
                 return Err("cache gc needs --max-mb and/or --max-age-days".into());
             }
-            let max_bytes = max_mb.map(|mb| (mb.max(0.0) * 1024.0 * 1024.0) as u64);
-            let max_age = max_days.map(|d| Duration::from_secs_f64(d.max(0.0) * 86_400.0));
+            // Refuse a bound that cannot be honoured before the scan: NaN
+            // and negative sizes would otherwise evict everything, and an
+            // age past `Duration`'s range would panic.
+            let max_bytes = max_mb
+                .map(|mb| {
+                    let bytes = mb * 1024.0 * 1024.0;
+                    if (0.0..=u64::MAX as f64).contains(&bytes) {
+                        Ok(bytes as u64)
+                    } else {
+                        Err(format!("bad --max-mb: {mb:?} is not a cache size (0 to 2^44 MiB)"))
+                    }
+                })
+                .transpose()?;
+            let max_age = max_days
+                .map(|d| {
+                    Duration::try_from_secs_f64(d * 86_400.0)
+                        .map_err(|e| format!("bad --max-age-days: {d:?}: {e}"))
+                })
+                .transpose()?;
             let r = cache.gc(max_bytes, max_age)?;
             outln!(
                 "evicted {} entries ({:.2} MiB); {} entries ({:.2} MiB) remain in {}",
@@ -510,7 +538,7 @@ fn load_or_generate_vector(
         })?;
         return Ok(v);
     }
-    let steps = parse(opts, "steps", 120usize)?;
+    let steps = steps(opts, 120)?;
     let seed = parse(opts, "seed", 7u64)?;
     let gen = VectorGenerator::new(grid, GeneratorConfig { steps, ..Default::default() });
     Ok(gen.generate(seed))
@@ -687,7 +715,7 @@ fn experiment_config(
     Ok(ExperimentConfig {
         scale: scale(opts)?,
         vectors: parse(opts, "vectors", base.vectors)?,
-        steps: parse(opts, "steps", base.steps)?,
+        steps: steps(opts, base.steps)?,
         train: TrainConfig {
             epochs: parse(opts, "epochs", base.train.epochs)?,
             ..base.train
@@ -726,6 +754,13 @@ fn run_pipeline(
         solver: solver(opts)?,
     };
     try_stage("simulate_and_train", || EvaluatedDesign::evaluate_with(preset, config, &options))
+        .map_err(|e| {
+            if e.is::<TooFewVectors>() {
+                format!("bad --vectors {}: {e}", config.vectors).into()
+            } else {
+                e
+            }
+        })
 }
 
 fn train(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
@@ -883,7 +918,7 @@ fn export_vector(opts: &HashMap<String, String>) -> Result<(), Box<dyn std::erro
     let preset = design(opts)?;
     let out = opts.get("out").ok_or("--out FILE.csv is required")?;
     let grid = preset.spec(scale(opts)?).build(1)?;
-    let steps = parse(opts, "steps", 120usize)?;
+    let steps = steps(opts, 120)?;
     let seed = parse(opts, "seed", 7u64)?;
     let gen = VectorGenerator::new(&grid, GeneratorConfig { steps, ..Default::default() });
     let vector = gen.generate(seed);

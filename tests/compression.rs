@@ -2,7 +2,7 @@
 
 use pdn_wnv::compress::spatial::tile_current_maps;
 use pdn_wnv::compress::temporal::TemporalCompressor;
-use pdn_wnv::eval::harness::{EvaluatedDesign, ExperimentConfig, PreparedDesign};
+use pdn_wnv::eval::harness::{EvalOptions, EvaluatedDesign, ExperimentConfig, PreparedDesign};
 use pdn_wnv::eval::metrics;
 use pdn_wnv::grid::design::DesignPreset;
 
@@ -43,11 +43,19 @@ fn stronger_compression_is_not_more_accurate_than_none() {
     // be substantially worse (and typically is better) — the Fig. 6 trend.
     let base = ExperimentConfig::quick();
     let prep_a = PreparedDesign::prepare(DesignPreset::D1, &base).expect("prepare");
-    let low =
-        EvaluatedDesign::evaluate_prepared(prep_a, &ExperimentConfig { compression_rate: 0.15, ..base });
+    let low = EvaluatedDesign::evaluate_prepared(
+        prep_a,
+        &ExperimentConfig { compression_rate: 0.15, ..base },
+        &EvalOptions::default(),
+    )
+    .expect("pipeline");
     let prep_b = PreparedDesign::prepare(DesignPreset::D1, &base).expect("prepare");
-    let full =
-        EvaluatedDesign::evaluate_prepared(prep_b, &ExperimentConfig { compression_rate: 1.0, ..base });
+    let full = EvaluatedDesign::evaluate_prepared(
+        prep_b,
+        &ExperimentConfig { compression_rate: 1.0, ..base },
+        &EvalOptions::default(),
+    )
+    .expect("pipeline");
     let low_re = metrics::pooled_error_stats(&low.test_pairs).mean_re;
     let full_re = metrics::pooled_error_stats(&full.test_pairs).mean_re;
     assert!(

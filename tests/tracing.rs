@@ -2,7 +2,7 @@
 //! pipeline: cross-thread span nesting in the JSONL sink, the Chrome-trace
 //! exporter round trip, and the `pdn report` / `--trace` CLI end to end
 //! (the last two drive the real binary in a subprocess), plus the CLI's
-//! up-front rejection of bad flags and mismatched vectors.
+//! up-front rejection of bad flags, bad values and mismatched vectors.
 //!
 //! Telemetry is process-global, so the in-process tests serialize on
 //! [`TEST_LOCK`]; this binary runs in its own process, keeping the global
@@ -274,6 +274,60 @@ fn cli_rejects_a_vector_at_another_time_step() {
     for p in [vector, model] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn cli_refuses_counts_and_cache_bounds_it_cannot_honour() {
+    // Each bad value must fail up front with an error line that names its
+    // flag, without a panic, and leave the planted cache entries in place:
+    // a NaN or negative gc bound would evict every entry, an infinite age
+    // overflows `Duration`, and a count that leaves nothing to simulate or
+    // test would fail deep in the pipeline.
+    use pdn_wnv::core::map::TileMap;
+    use pdn_wnv::core::units::Volts;
+    use pdn_wnv::sim::cache::{CacheKey, WnvCache};
+    use pdn_wnv::sim::transient::TransientStats;
+    use pdn_wnv::sim::wnv::NoiseReport;
+    let exe = env!("CARGO_BIN_EXE_pdn");
+    let dir = temp_path("gc-bounds");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = WnvCache::open(&dir).expect("cache dir");
+    let report = NoiseReport {
+        worst_noise: TileMap::from_vec(1, 2, vec![0.01, 0.02]).expect("map"),
+        max_noise: Volts(0.02),
+        elapsed: std::time::Duration::from_millis(1),
+        stats: TransientStats { steps: 1, cg_iterations: 0, worst_residual: 0.0 },
+    };
+    for k in [1, 2] {
+        cache.store(CacheKey(k), &report).expect("plant an entry");
+    }
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let gc = |flag, value| vec!["cache", "gc", "--cache-dir", dir_arg, flag, value];
+    let eval = |flag, value| {
+        let mut args = vec!["eval", "--design", "D1", "--steps", "20", "--epochs", "1"];
+        args.extend(["--cache-dir", "none", flag, value]);
+        args
+    };
+    let cases = [
+        (gc("--max-age-days", "inf"), "--max-age-days"),
+        (gc("--max-age-days", "1e300"), "--max-age-days"),
+        (gc("--max-age-days", "nan"), "--max-age-days"),
+        (gc("--max-mb", "nan"), "--max-mb"),
+        (gc("--max-mb", "-3"), "--max-mb"),
+        (vec!["simulate", "--design", "D1", "--steps", "0"], "--steps"),
+        (eval("--steps", "0"), "--steps"),
+        (eval("--vectors", "1"), "--vectors"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(exe).args(&args).output().expect("run pdn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let error = stderr.lines().find(|l| l.starts_with("error:")).unwrap_or_default();
+        assert!(error.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert_eq!(cache.stats().expect("cache stats").entries, 2, "{args:?} evicted entries");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
