@@ -1,5 +1,5 @@
 //! Process-wide telemetry: counters, gauges, histograms, hierarchical
-//! spans and a JSON-lines event sink.
+//! spans and a JSON-lines sink.
 //!
 //! The paper's headline claim is a speedup table; reproducing it honestly
 //! requires knowing where wall clock and solver iterations actually go.
@@ -11,14 +11,13 @@
 //! * [`observe`] / [`observe_duration`] — log-bucketed [`Histogram`]s with
 //!   count/sum/min/max and approximate percentiles (per-step solve times,
 //!   per-batch losses, batch occupancy);
-//! * [`event`] — structured records appended immediately to the JSON-lines
-//!   sink (per-design runtime splits);
 //! * [`span`] — the one way to time a region: hierarchical scoped
 //!   wall-clock spans with parent/child links (per-thread span stack) and
 //!   thread tagging. A closing span records its duration in seconds into
 //!   the histogram of its own name and, with a sink attached, writes one
-//!   span record. Spans are the input to the Chrome-trace/Perfetto
-//!   exporter and `pdn report` (see `pdn-eval::tracereport`).
+//!   span record, the sink's only live record. Spans are the input to the
+//!   Chrome-trace/Perfetto exporter and `pdn report` (see
+//!   `pdn-eval::tracereport`).
 //!
 //! # Overhead contract
 //!
@@ -48,14 +47,13 @@
 //! ```
 //!
 //! * `ts_us` — microseconds since telemetry was enabled (monotonic clock);
-//! * `kind` — `event` or `span` (live records), or `counter` / `gauge` /
+//! * `kind` — `span` (the live record), or `counter` / `gauge` /
 //!   `histogram` (aggregate dumps from [`write_summary_records`]);
 //! * `name` — dotted metric path, e.g. `sparse.cg.iterations`;
-//! * further keys are event-specific; span records carry
-//!   `span`/`parent`/`thread`/`start_us`/`dur_us`/`ok` plus any attached
-//!   fields; aggregate records carry `value` (counters, gauges) or
-//!   `count`/`sum`/`min`/`max`/`p50`/`p95`/`p99` (histograms, see
-//!   [`Histogram::summary`] for the quantile rule). Non-finite floats
+//! * span records carry `span`/`parent`/`thread`/`start_us`/`dur_us`/`ok`
+//!   plus any attached fields; aggregate records carry `value` (counters,
+//!   gauges) or `count`/`sum`/`min`/`max`/`p50`/`p95`/`p99` (histograms,
+//!   see [`Histogram::summary`] for the quantile rule). Non-finite floats
 //!   serialize as `null`.
 //!
 //! # Example
@@ -104,7 +102,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// One field value of a telemetry [`event`].
+/// One field value attached to a [`Span`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Unsigned integer field.
@@ -197,8 +195,7 @@ impl HistogramSummary {
 }
 
 /// Streaming histogram: count/sum/min/max plus 64 log₂ buckets for
-/// approximate percentiles. The registry keeps one per metric name, and
-/// `pdn serve`'s rolling SLO windows keep one per one-second slot.
+/// approximate percentiles. The registry keeps one per metric name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     count: u64,
@@ -228,17 +225,6 @@ impl Histogram {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.buckets[bucket_of(v)] += 1;
-    }
-
-    /// Adds every observation of `other` to this histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (acc, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *acc += b;
-        }
     }
 
     /// Approximate `q`-quantile; the rule is described on [`Self::summary`].
@@ -347,7 +333,8 @@ fn lock() -> std::sync::MutexGuard<'static, State> {
 }
 
 /// Enables in-memory aggregation (counters/gauges/histograms + summary)
-/// without a JSON-lines sink. Events are dropped unless a sink is attached.
+/// without a JSON-lines sink. Span records are dropped unless a sink is
+/// attached.
 pub fn enable() {
     let mut s = lock();
     s.epoch = Instant::now();
@@ -689,34 +676,6 @@ impl Drop for FlushGuard {
     }
 }
 
-/// Appends one structured record to the JSON-lines sink (no-op when
-/// disabled or when no sink is attached). `fields` are rendered after the
-/// standard `ts_us`/`kind`/`name` keys; a field named like a standard key
-/// is skipped rather than duplicated.
-pub fn event(name: &str, fields: &[(&str, Value)]) {
-    if !enabled() {
-        return;
-    }
-    let mut s = lock();
-    if s.sink.is_none() {
-        return;
-    }
-    let mut line = String::with_capacity(96);
-    let _ = write!(line, "{{\"ts_us\":{},\"kind\":\"event\",\"name\":", s.ts_us());
-    let _ = write_json_str(&mut line, name);
-    for (key, value) in fields {
-        if matches!(*key, "ts_us" | "kind" | "name") {
-            continue;
-        }
-        line.push(',');
-        let _ = write_json_str(&mut line, key);
-        line.push(':');
-        push_json_value(&mut line, value);
-    }
-    line.push('}');
-    s.write_line(&line);
-}
-
 /// Dumps every counter, gauge and histogram as one JSON-lines record each
 /// (kind `counter` / `gauge` / `histogram`) and flushes the sink. Call once
 /// at the end of a run so the sink is a self-contained artifact; repeated
@@ -1032,7 +991,6 @@ mod tests {
         let sp = span("t.span");
         assert!(sp.elapsed().is_none(), "disabled span must not read the clock");
         drop(sp);
-        event("t.event", &[("k", 1u64.into())]);
         assert_eq!(counter_value("t.counter"), 0);
         assert_eq!(gauge_value("t.gauge"), None);
         assert!(histogram_summary("t.histo").is_none());
@@ -1223,20 +1181,6 @@ mod tests {
         let s = h.summary();
         assert!(s.p50 < 0.003, "p50 {}", s.p50);
         assert!(s.p99 >= 1.0 && s.p99 <= 2.0, "p99 {}", s.p99);
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_into_one() {
-        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for i in 1..=40 {
-            let v = i as f64 * 0.375; // exact in binary, so sums do not depend on order
-            if i % 3 == 0 { &mut a } else { &mut b }.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.summary(), all.summary());
-        a.merge(&Histogram::new());
-        assert_eq!(a, all, "merging an empty histogram changes nothing");
     }
 
     #[test]
@@ -1489,18 +1433,16 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("pdn_telemetry_unit_{}.jsonl", std::process::id()));
         enable_with_sink(&path).unwrap();
-        event(
-            "t.kinds",
-            &[
-                ("u", 7usize.into()),
-                ("i", Value::I64(-3)),
-                ("f", 0.5f64.into()),
-                ("b", true.into()),
-                ("s", "hello \"world\"".into()),
-                ("nan", f64::NAN.into()),
-                ("name", "shadowed".into()), // reserved key must be skipped
-            ],
-        );
+        {
+            let mut sp = span("t.kinds");
+            sp.field("u", 7usize);
+            sp.field("i", Value::I64(-3));
+            sp.field("f", 0.5f64);
+            sp.field("b", true);
+            sp.field("s", "hello \"world\"");
+            sp.field("nan", f64::NAN);
+            sp.field("name", "shadowed"); // reserved key must be skipped
+        }
         counter_add("t.rt.counter", 9);
         gauge_set("t.rt.gauge", 2.0);
         observe("t.rt.histo", 3.0);
@@ -1509,7 +1451,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
         reset();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "event + counter + gauge + histogram in:\n{text}");
+        // The span's record, then the counter, the gauge and the two
+        // histograms (the span's own and `t.rt.histo`).
+        assert_eq!(lines.len(), 5, "span + counter + gauge + 2 histograms in:\n{text}");
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "not an object: {line}");
             assert!(line.contains("\"ts_us\":"), "missing ts_us: {line}");
@@ -1517,7 +1461,7 @@ mod tests {
             assert!(line.contains("\"name\":"), "missing name: {line}");
         }
         let ev = lines[0];
-        assert!(ev.contains("\"kind\":\"event\""));
+        assert!(ev.contains("\"kind\":\"span\",\"name\":\"t.kinds\""));
         assert!(ev.contains("\"u\":7"));
         assert!(ev.contains("\"i\":-3"));
         assert!(ev.contains("\"f\":0.5"));

@@ -44,7 +44,7 @@ fn main() -> ExitCode {
     let (quick, out_dir) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            report_error(&format!("{e}\n\n{USAGE}"));
             return ExitCode::FAILURE;
         }
     };
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
         Ok(())
     });
     if let Err(e) = published {
-        eprintln!("error: publishing experiment artifacts to {}: {e}", out_dir.display());
+        report_error(&format!("publishing experiment artifacts to {}: {e}", out_dir.display()));
         return ExitCode::FAILURE;
     }
     let minutes = started.elapsed().as_secs_f64() / 60.0;
@@ -107,10 +107,17 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            report_error(&e);
             ExitCode::FAILURE
         }
     }
+}
+
+/// Writes an `error:` line to stderr; not `eprintln!`, which panics when
+/// stderr is closed.
+fn report_error(message: &str) {
+    use std::io::Write as _;
+    let _ = writeln!(std::io::stderr(), "error: {message}");
 }
 
 /// Parses the whole command line: `--quick` and `--out DIR`, nothing else.

@@ -9,17 +9,16 @@
 //! most `max_wait` extra, while a burst is answered as one multi-map CNN
 //! batch (or one multi-RHS transient group).
 //!
-//! Telemetry per batch (under the batcher's name prefix):
-//! `<name>.batch_width` / `.queue_wait_seconds` histograms,
-//! `<name>.requests` / `.batches` counters, and a `<name>.batch` span
-//! around the processor call carrying the width, whose histogram is the
-//! batch compute time, so `pdn report` renders server traces with no
+//! Telemetry per batch (under the batcher's name prefix): the
+//! `<name>.batch_width` histogram, whose count is the batches and whose
+//! sum is the requests, `<name>.queue_wait_seconds`, and a `<name>.batch`
+//! span around the processor call carrying the width, whose histogram is
+//! the batch compute time, so `pdn report` renders server traces with no
 //! special cases.
 
 use pdn_core::telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,22 +66,13 @@ pub struct Batched<T> {
     pub compute_us: u64,
 }
 
-/// Shared observability counters a server exposes about one batcher.
+/// One batcher's pending depth, which a server's admission control reads.
 #[derive(Debug, Default)]
 pub struct BatcherStats {
-    batches: AtomicU64,
-    jobs: AtomicU64,
-    max_width: AtomicU64,
     pending: AtomicU64,
 }
 
 impl BatcherStats {
-    fn record(&self, width: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.jobs.fetch_add(width as u64, Ordering::Relaxed);
-        self.max_width.fetch_max(width as u64, Ordering::Relaxed);
-    }
-
     /// Takes one pending slot and returns the depth *before* it was taken;
     /// admission control compares it against the queue cap. The caller
     /// must pair this with [`BatcherStats::release_pending`] once the job
@@ -100,21 +90,6 @@ impl BatcherStats {
     pub fn pending(&self) -> u64 {
         self.pending.load(Ordering::Relaxed)
     }
-
-    /// Batches processed so far.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Jobs processed so far.
-    pub fn jobs(&self) -> u64 {
-        self.jobs.load(Ordering::Relaxed)
-    }
-
-    /// Widest batch processed so far.
-    pub fn max_width(&self) -> u64 {
-        self.max_width.load(Ordering::Relaxed)
-    }
 }
 
 /// Spawns a batcher thread. `process` receives each coalesced batch and
@@ -123,7 +98,6 @@ impl BatcherStats {
 pub fn spawn<Req, Resp, F>(
     name: &'static str,
     cfg: BatchConfig,
-    stats: Arc<BatcherStats>,
     process: F,
 ) -> (Sender<Job<Req, Resp>>, JoinHandle<()>)
 where
@@ -134,7 +108,7 @@ where
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::Builder::new()
         .name(name.to_string())
-        .spawn(move || run(rx, cfg, name, &stats, process))
+        .spawn(move || run(rx, cfg, name, process))
         .expect("spawn batcher thread");
     (tx, handle)
 }
@@ -143,7 +117,6 @@ fn run<Req, Resp>(
     rx: Receiver<Job<Req, Resp>>,
     cfg: BatchConfig,
     name: &str,
-    stats: &BatcherStats,
     mut process: impl FnMut(Vec<Req>) -> Vec<Resp>,
 ) {
     let max_batch = cfg.max_batch.max(1);
@@ -159,7 +132,6 @@ fn run<Req, Resp>(
         }
 
         let width = jobs.len();
-        stats.record(width);
         telemetry::observe(&format!("{name}.batch_width"), width as f64);
         let started = Instant::now();
         let mut span = telemetry::span(&format!("{name}.batch"));
@@ -194,8 +166,6 @@ fn run<Req, Resp>(
         assert_eq!(results.len(), width, "batch processor must answer every job");
         drop(span);
         let compute_us = started.elapsed().as_micros() as u64;
-        telemetry::counter_add(&format!("{name}.requests"), width as u64);
-        telemetry::counter_add(&format!("{name}.batches"), 1);
 
         for ((result, reply), queue_us) in results.into_iter().zip(replies).zip(queue_us) {
             // A send error means the client hung up; nothing to do.
@@ -210,10 +180,9 @@ mod tests {
 
     #[test]
     fn coalesces_concurrent_jobs_and_answers_in_order() {
-        let stats = Arc::new(BatcherStats::default());
         // A generous wait so all test jobs land in one batch.
         let cfg = BatchConfig { max_batch: 8, max_wait: Duration::from_millis(200) };
-        let (tx, handle) = spawn("test.batcher", cfg, Arc::clone(&stats), |batch: Vec<u64>| {
+        let (tx, handle) = spawn("test.batcher", cfg, |batch: Vec<u64>| {
             batch.into_iter().map(|x| x * 10).collect::<Vec<u64>>()
         });
 
@@ -230,13 +199,14 @@ mod tests {
                 reply_rx
             })
             .collect();
+        let mut widest = 0;
         for (x, rx) in receivers.iter().enumerate() {
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(got.result, x as u64 * 10);
             assert!(got.batch_width >= 1 && got.batch_width <= 5);
+            widest = widest.max(got.batch_width);
         }
-        assert!(stats.jobs() == 5, "all jobs processed");
-        assert!(stats.max_width() >= 2, "jobs sent before the batch window closed must coalesce");
+        assert!(widest >= 2, "jobs sent before the batch window closed must coalesce");
 
         drop(tx);
         handle.join().unwrap();
@@ -244,9 +214,8 @@ mod tests {
 
     #[test]
     fn max_batch_bounds_width() {
-        let stats = Arc::new(BatcherStats::default());
         let cfg = BatchConfig { max_batch: 2, max_wait: Duration::from_millis(200) };
-        let (tx, handle) = spawn("test.capped", cfg, Arc::clone(&stats), |batch: Vec<u32>| batch);
+        let (tx, handle) = spawn("test.capped", cfg, |batch: Vec<u32>| batch);
         let receivers: Vec<_> = (0..6u32)
             .map(|x| {
                 let (reply_tx, reply_rx) = mpsc::channel();
@@ -260,14 +229,13 @@ mod tests {
                 reply_rx
             })
             .collect();
-        for rx in &receivers {
+        for (x, rx) in receivers.iter().enumerate() {
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got.result, x as u32, "every job answered, in order");
             assert!(got.batch_width <= 2, "width {} exceeds max_batch", got.batch_width);
         }
         drop(tx);
         handle.join().unwrap();
-        assert_eq!(stats.jobs(), 6);
-        assert!(stats.batches() >= 3);
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //!   (honoring a sane client-supplied `x-pdn-request-id`), runs under a
 //!   telemetry span carrying it, rides it through the batcher's batch
 //!   span, and echoes it in an `x-pdn-request-id` response header and an
-//!   optional JSONL access log (`--access-log`). `GET /metrics` serves
-//!   the registry in Prometheus text format by default (the raw JSONL
-//!   snapshot stays behind `?format=jsonl`), `GET /statusz` summarizes
-//!   rolling-window SLOs ([`window`]: per-route QPS, error rate,
-//!   p50/p95/p99 over a ~60 s horizon), and `GET /healthz` stays a
-//!   liveness probe. `--max-queue` sheds load with 429 + `Retry-After`
-//!   when a batcher's pending depth hits the cap.
+//!   optional JSONL access log (`--access-log`). Every count and latency
+//!   lives once, in the telemetry registry: `GET /metrics` serves it in
+//!   Prometheus text format by default (the raw JSONL snapshot stays
+//!   behind `?format=jsonl`), `GET /statusz` summarizes each route's span
+//!   histogram and error counter since start (QPS, error rate,
+//!   p50/p95/p99), and `GET /healthz` stays a liveness probe.
+//!   `--max-queue` sheds load with 429 + `Retry-After` when a batcher's
+//!   pending depth hits the cap.
 //!
 //! The listener is plain `std::net::TcpListener` + a worker pool sized by
 //! the existing `PDN_THREADS` plumbing; no new dependencies.
@@ -33,7 +34,6 @@
 pub mod batcher;
 pub mod http;
 pub mod proto;
-pub mod window;
 
 use batcher::{BatchConfig, Batched, BatcherStats, Job};
 use pdn_core::telemetry::{self, write_json_str};
@@ -53,7 +53,6 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-use window::RollingWindow;
 
 /// Server configuration. `Default` suits tests and local runs; the CLI
 /// fills it from flags.
@@ -95,22 +94,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Live request counters the server exposes (and tests assert on).
-#[derive(Debug)]
-pub struct ServerStats {
-    /// Requests accepted (any route).
-    pub requests: AtomicU64,
-    /// Requests answered with a 4xx/5xx status.
-    pub errors: AtomicU64,
-    /// Predict batcher counters (batch widths live here).
-    pub predict: Arc<BatcherStats>,
-    /// Simulate batcher counters.
-    pub simulate: Arc<BatcherStats>,
-}
-
-/// Route labels the rolling windows and per-route metrics aggregate by.
-/// Unknown paths land in `"other"` so scanner noise cannot mint
-/// unbounded metric names.
+/// Route labels the per-route metrics aggregate by. Unknown paths land in
+/// `"other"` so scanner noise cannot mint unbounded metric names.
 const ROUTES: [&str; 6] = ["predict", "simulate", "healthz", "metrics", "statusz", "other"];
 
 fn route_label(path: &str) -> &'static str {
@@ -124,24 +109,6 @@ fn route_label(path: &str) -> &'static str {
     }
 }
 
-/// One rolling SLO window per route label, index-aligned with [`ROUTES`].
-struct RouteWindows([RollingWindow; 6]);
-
-impl RouteWindows {
-    fn new() -> RouteWindows {
-        RouteWindows(std::array::from_fn(|_| RollingWindow::new()))
-    }
-
-    fn get(&self, label: &str) -> &RollingWindow {
-        let i = ROUTES.iter().position(|r| *r == label).unwrap_or(ROUTES.len() - 1);
-        &self.0[i]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (&'static str, &RollingWindow)> {
-        ROUTES.iter().copied().zip(self.0.iter())
-    }
-}
-
 /// Read-only state shared by every connection worker.
 struct Ctx {
     design: String,
@@ -151,15 +118,15 @@ struct Ctx {
     time_step: Seconds,
     hotspot_threshold: f64,
     started: Instant,
-    stats: ServerStats,
     predict_tx: Sender<Job<TestVector, MapResponse>>,
     simulate_tx: Sender<Job<TestVector, Result<MapResponse, String>>>,
+    /// Each batcher's pending depth, which admission control reads.
+    predict_pending: BatcherStats,
+    simulate_pending: BatcherStats,
     /// Admission cap shared by both batchers; `0` disables shedding.
     max_queue: usize,
     /// Requests currently inside `handle_connection`.
     in_flight: AtomicU64,
-    /// Per-route rolling SLO windows (~60 s horizon).
-    windows: RouteWindows,
     /// Request-ID mint: `{nonce:08x}-{seq}` so IDs stay unique across
     /// restarts without coordination.
     rid_nonce: u64,
@@ -214,15 +181,11 @@ pub fn serve(
     let tiles = grid.tile_grid();
     let hotspot_threshold = grid.spec().hotspot_threshold().0;
 
-    let predict_stats = Arc::new(BatcherStats::default());
-    let simulate_stats = Arc::new(BatcherStats::default());
-
     let mut predictor = predictor;
     let predict_grid = Arc::clone(&grid);
     let (predict_tx, predict_handle) = batcher::spawn(
         "serve.predict",
         cfg.predict_batch,
-        Arc::clone(&predict_stats),
         move |batch: Vec<TestVector>| {
             let mut out = Vec::new();
             predictor.predict_batch(&predict_grid, &batch, &mut out);
@@ -236,7 +199,6 @@ pub fn serve(
     let (simulate_tx, simulate_handle) = batcher::spawn(
         "serve.simulate",
         cfg.simulate_batch,
-        Arc::clone(&simulate_stats),
         move |batch: Vec<TestVector>| match run_group_cached(
             cache.as_ref(),
             &runner,
@@ -281,17 +243,12 @@ pub fn serve(
         time_step: grid.spec().time_step(),
         hotspot_threshold,
         started: Instant::now(),
-        stats: ServerStats {
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            predict: predict_stats,
-            simulate: simulate_stats,
-        },
         predict_tx,
         simulate_tx,
+        predict_pending: BatcherStats::default(),
+        simulate_pending: BatcherStats::default(),
         max_queue: cfg.max_queue,
         in_flight: AtomicU64::new(0),
-        windows: RouteWindows::new(),
         rid_nonce,
         rid_seq: AtomicU64::new(0),
         access_log,
@@ -337,11 +294,6 @@ impl Server {
     /// The bound address (resolves port `0` to the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Live request counters.
-    pub fn stats(&self) -> &ServerStats {
-        &self.ctx.as_ref().expect("server running").stats
     }
 
     /// Stops accepting, drains in-flight connections, and joins every
@@ -465,6 +417,8 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(e) => {
+            telemetry::counter_add("serve.requests", 1);
+            telemetry::counter_add("serve.errors", 1);
             let mut writer = BufWriter::new(stream);
             let body = error_json(&format!("bad request: {e}"));
             let _ = http::write_response(&mut writer, 400, "application/json", body.as_bytes());
@@ -479,7 +433,6 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
     let label = route_label(&request.path);
     let mut span = telemetry::span(&format!("serve.route.{label}"));
     ctx.in_flight.fetch_add(1, Ordering::Relaxed);
-    ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
     telemetry::counter_add("serve.requests", 1);
 
     let request_id = match request.header("x-pdn-request-id") {
@@ -497,11 +450,9 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
     let routed = route(&request, &request_id, ctx);
     span.field("status", routed.status as u64);
     if routed.status >= 400 {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         telemetry::counter_add("serve.errors", 1);
         telemetry::counter_add(&format!("serve.route.{label}.errors"), 1);
     }
-    telemetry::counter_add(&format!("serve.route.{label}.requests"), 1);
 
     let mut writer = BufWriter::new(stream);
     let mut extra: Vec<(&str, &str)> = vec![("x-pdn-request-id", request_id.as_str())];
@@ -516,15 +467,11 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
         routed.body.as_bytes(),
     );
     drop(span);
-
-    let total = accepted.elapsed();
-    ctx.windows
-        .get(label)
-        .record(ctx.started.elapsed().as_secs(), total.as_secs_f64(), routed.status >= 400);
     ctx.in_flight.fetch_sub(1, Ordering::Relaxed);
 
     if let Some(log) = &ctx.access_log {
-        write_access_log(log, &request, &request_id, label, &routed, total.as_micros() as u64);
+        let total_us = accepted.elapsed().as_micros() as u64;
+        write_access_log(log, &request, &request_id, label, &routed, total_us);
     }
 }
 
@@ -580,7 +527,7 @@ fn route(request: &http::Request, request_id: &str, ctx: &Ctx) -> Routed {
             if wants_jsonl(request) {
                 Routed::plain(200, "application/x-ndjson", telemetry::snapshot_records())
             } else {
-                publish_window_gauges(ctx);
+                publish_gauges(ctx);
                 Routed::plain(
                     200,
                     "text/plain; version=0.0.4; charset=utf-8",
@@ -589,17 +536,24 @@ fn route(request: &http::Request, request_id: &str, ctx: &Ctx) -> Routed {
             }
         }
         ("GET", "/statusz") => {
-            publish_window_gauges(ctx);
+            publish_gauges(ctx);
             Routed::plain(200, "application/json", statusz_json(ctx))
         }
         ("POST", "/predict") => match vector() {
-            Ok(req) => dispatch(&ctx.predict_tx, &ctx.stats.predict, ctx, request_id, req.vector, Ok),
+            Ok(req) => {
+                dispatch(&ctx.predict_tx, &ctx.predict_pending, ctx, request_id, req.vector, Ok)
+            }
             Err(why) => Routed::plain(400, "application/json", error_json(&why)),
         },
         ("POST", "/simulate") => match vector() {
-            Ok(req) => {
-                dispatch(&ctx.simulate_tx, &ctx.stats.simulate, ctx, request_id, req.vector, |resp| resp)
-            }
+            Ok(req) => dispatch(
+                &ctx.simulate_tx,
+                &ctx.simulate_pending,
+                ctx,
+                request_id,
+                req.vector,
+                |resp| resp,
+            ),
             Err(why) => Routed::plain(400, "application/json", error_json(&why)),
         },
         (_, "/healthz" | "/metrics" | "/statusz" | "/predict" | "/simulate") => {
@@ -673,56 +627,53 @@ fn dispatch<T: Send + 'static>(
     }
 }
 
-/// Publishes the live SLO aggregates as registry gauges so the Prometheus
-/// endpoint exports them; called at scrape time (`/metrics`, `/statusz`)
-/// so idle servers pay nothing between scrapes.
-fn publish_window_gauges(ctx: &Ctx) {
-    let tick = ctx.started.elapsed().as_secs();
+/// Publishes the in-flight and queue-depth gauges, which only the server
+/// knows; called at scrape time (`/metrics`, `/statusz`) so idle servers
+/// pay nothing between scrapes.
+fn publish_gauges(ctx: &Ctx) {
     telemetry::gauge_set("serve.in_flight", ctx.in_flight.load(Ordering::Relaxed) as f64);
-    telemetry::gauge_set("serve.queue_depth.predict", ctx.stats.predict.pending() as f64);
-    telemetry::gauge_set("serve.queue_depth.simulate", ctx.stats.simulate.pending() as f64);
-    for (label, w) in ctx.windows.iter() {
-        let s = w.snapshot(tick);
-        telemetry::gauge_set(&format!("serve.window.{label}.qps"), s.qps);
-        telemetry::gauge_set(&format!("serve.window.{label}.error_rate"), s.error_rate);
-        telemetry::gauge_set(&format!("serve.window.{label}.p50_seconds"), s.p50);
-        telemetry::gauge_set(&format!("serve.window.{label}.p95_seconds"), s.p95);
-        telemetry::gauge_set(&format!("serve.window.{label}.p99_seconds"), s.p99);
-        telemetry::gauge_set(&format!("serve.window.{label}.requests"), s.count as f64);
-    }
+    telemetry::gauge_set("serve.queue_depth.predict", ctx.predict_pending.pending() as f64);
+    telemetry::gauge_set("serve.queue_depth.simulate", ctx.simulate_pending.pending() as f64);
 }
 
-/// `GET /statusz`: one JSON object summarizing the rolling windows,
-/// queue depths and admission counters — the human/dashboard view of
+/// `GET /statusz`: one JSON object summarizing, per route, the
+/// `serve.route.<route>` span histogram and `.errors` counter since start,
+/// plus queue depths and admission counters — the human/dashboard view of
 /// what `/metrics` exports.
 fn statusz_json(ctx: &Ctx) -> String {
     use std::fmt::Write as _;
-    let tick = ctx.started.elapsed().as_secs();
+    let uptime = ctx.started.elapsed();
     let mut out = String::with_capacity(640);
     let _ = write!(
         out,
-        "{{\"status\":\"ok\",\"design\":\"{}\",\"uptime_s\":{},\"window_s\":{},\
+        "{{\"status\":\"ok\",\"design\":\"{}\",\"uptime_s\":{},\
          \"in_flight\":{},\"queue_depth\":{{\"predict\":{},\"simulate\":{}}},\
          \"max_queue\":{},\"rejected_total\":{},\"routes\":{{",
         ctx.design,
-        tick,
-        window::SLOTS,
+        uptime.as_secs(),
         ctx.in_flight.load(Ordering::Relaxed),
-        ctx.stats.predict.pending(),
-        ctx.stats.simulate.pending(),
+        ctx.predict_pending.pending(),
+        ctx.simulate_pending.pending(),
         ctx.max_queue,
         telemetry::counter_value("serve.rejected_total"),
     );
-    for (i, (label, w)) in ctx.windows.iter().enumerate() {
-        let s = w.snapshot(tick);
+    for (i, label) in ROUTES.iter().enumerate() {
+        let h = telemetry::histogram_summary(&format!("serve.route.{label}"))
+            .unwrap_or_else(|| telemetry::Histogram::new().summary());
+        let errors = telemetry::counter_value(&format!("serve.route.{label}.errors"));
+        let error_rate = if h.count == 0 { 0.0 } else { errors as f64 / h.count as f64 };
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\"{label}\":{{\"count\":{},\"errors\":{},\"qps\":{:.3},\"error_rate\":{:.4},\
-             \"p50_s\":{:.6},\"p95_s\":{:.6},\"p99_s\":{:.6}}}",
-            s.count, s.errors, s.qps, s.error_rate, s.p50, s.p95, s.p99
+            "\"{label}\":{{\"count\":{},\"errors\":{errors},\"qps\":{:.3},\
+             \"error_rate\":{error_rate:.4},\"p50_s\":{:.6},\"p95_s\":{:.6},\"p99_s\":{:.6}}}",
+            h.count,
+            h.count as f64 / uptime.as_secs_f64(),
+            h.p50,
+            h.p95,
+            h.p99
         );
     }
     out.push_str("}}");
@@ -742,8 +693,8 @@ fn health_json(ctx: &Ctx) -> String {
         ctx.loads,
         ctx.hotspot_threshold,
         ctx.started.elapsed().as_micros(),
-        ctx.stats.requests.load(Ordering::Relaxed),
-        ctx.stats.errors.load(Ordering::Relaxed),
+        telemetry::counter_value("serve.requests"),
+        telemetry::counter_value("serve.errors"),
     );
     out
 }

@@ -6,15 +6,16 @@
 //! any telemetry sink produced with `--telemetry`/`PDN_TELEMETRY` into
 //! those artifacts automatically:
 //!
-//! * [`TelemetryLog`] — parsed view of one sink file (spans, events,
-//!   aggregate summaries);
+//! * [`TelemetryLog`] — parsed view of one sink file (spans and aggregate
+//!   summaries);
 //! * [`TelemetryLog::chrome_trace`] — a `trace.json` in the Chrome trace
 //!   event format, loadable at `ui.perfetto.dev` (B/E duration events per
-//!   thread, instant events for structured records);
+//!   thread);
 //! * [`span_tree`] — the aggregated per-stage wall-clock tree;
 //! * [`report`] — the markdown run report: stage tree, histogram
 //!   percentiles (CG iterations/residuals), training-loss sparkline, the
-//!   simulate-vs-predict speedup table, and an A-vs-B regression diff.
+//!   simulate-vs-predict speedup table (joined from the `eval.*` spans),
+//!   and an A-vs-B regression diff.
 
 use crate::jsonl::{self, Json};
 use pdn_core::telemetry::{write_json_str, HistogramSummary};
@@ -43,24 +44,11 @@ pub struct SpanRec {
     pub fields: BTreeMap<String, Json>,
 }
 
-/// One `kind:"event"` record from the sink.
-#[derive(Debug, Clone)]
-pub struct EventRec {
-    /// Event timestamp, µs since telemetry was enabled.
-    pub ts_us: u64,
-    /// Dotted event name.
-    pub name: String,
-    /// Event payload.
-    pub fields: BTreeMap<String, Json>,
-}
-
 /// A parsed telemetry sink file.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryLog {
     /// Span records, in file (i.e. close-time) order.
     pub spans: Vec<SpanRec>,
-    /// Event records, in file order.
-    pub events: Vec<EventRec>,
     /// Final counter values.
     pub counters: BTreeMap<String, u64>,
     /// Final gauge values.
@@ -134,14 +122,6 @@ impl TelemetryLog {
                         fields,
                     });
                 }
-                "event" => {
-                    let ts_us = obj.get("ts_us").and_then(Json::as_u64).unwrap_or(0);
-                    let mut fields = obj.clone();
-                    for k in ["ts_us", "kind", "name"] {
-                        fields.remove(k);
-                    }
-                    log.events.push(EventRec { ts_us, name, fields });
-                }
                 "counter" => {
                     let v = obj.get("value").and_then(Json::as_u64).ok_or_else(|| bad("value"))?;
                     log.counters.insert(name, v);
@@ -204,11 +184,6 @@ impl TelemetryLog {
         }
     }
 
-    /// Events with the given name, in file order.
-    pub fn events_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a EventRec> {
-        self.events.iter().filter(move |e| e.name == name)
-    }
-
     /// The command of a CLI run, from its root `cli.<command>` span:
     /// `(command, seconds, ok)`.
     pub fn command(&self) -> Option<(&str, f64, bool)> {
@@ -217,15 +192,14 @@ impl TelemetryLog {
         Some((&root.name["cli.".len()..], root.dur_us as f64 / 1e6, root.ok))
     }
 
-    /// Serializes the log's spans and events as a Chrome-trace JSON string
+    /// Serializes the log's spans as a Chrome-trace JSON string
     /// (the `trace.json` format understood by `ui.perfetto.dev` and
     /// `chrome://tracing`).
     ///
     /// Spans become `B`/`E` duration-event pairs keyed by their recording
     /// thread; emission walks each thread's span forest depth-first, so
     /// every `B` has a matching `E` and pairs nest properly even when
-    /// microsecond timestamps tie. Structured events become thread-scoped
-    /// instant events on a synthetic tid 0 track.
+    /// microsecond timestamps tie.
     pub fn chrome_trace(&self) -> String {
         let mut out = String::with_capacity(4096 + self.spans.len() * 160);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -254,13 +228,6 @@ impl TelemetryLog {
                 &format!(
                     "{{\"ph\":\"M\",\"pid\":1,\"tid\":{t},\"name\":\"thread_name\",\"args\":{{\"name\":\"{label}\"}}}}"
                 ),
-                &mut first,
-            );
-        }
-        if !self.events.is_empty() {
-            push(
-                &mut out,
-                "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"events\"}}",
                 &mut first,
             );
         }
@@ -318,22 +285,6 @@ impl TelemetryLog {
                 line.push('}');
                 push(&mut out, &line, &mut first);
             }
-        }
-
-        for ev in &self.events {
-            let mut line = String::with_capacity(128);
-            let _ = write!(line, "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":{},\"cat\":\"pdn\",\"name\":", ev.ts_us);
-            let _ = write_json_str(&mut line, &ev.name);
-            line.push_str(",\"args\":{");
-            for (i, (k, v)) in ev.fields.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                let _ = write_json_str(&mut line, k);
-                let _ = write!(line, ":{v}");
-            }
-            line.push_str("}}");
-            push(&mut out, &line, &mut first);
         }
 
         out.push_str("\n]}\n");
@@ -543,9 +494,8 @@ pub fn report(
     // --- overview -------------------------------------------------------
     let _ = writeln!(
         md,
-        "- records: {} spans, {} events, {} counters, {} histograms",
+        "- records: {} spans, {} counters, {} histograms",
         run.spans.len(),
-        run.events.len(),
         run.counters.len(),
         run.histograms.len()
     );
@@ -624,23 +574,48 @@ pub fn report(
     }
 
     // --- speedup (the paper's runtime table analogue) --------------------
-    let evaluated: Vec<&EventRec> = run.events_named("eval.design.evaluated").collect();
-    if !evaluated.is_empty() {
+    // One row per evaluation, joined by `design` in close order: each
+    // `eval.predict_test` span with the latest `eval.prepare` (whose
+    // `sim_seconds_per_vector` field is the simulator's time, kept by a
+    // cache hit) and `eval.train` span of its design.
+    let mut sim_s: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut train_s: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut rows: Vec<(&str, f64, f64, f64)> = Vec::new();
+    for span in &run.spans {
+        let Some(design) = span.fields.get("design").and_then(Json::as_str) else { continue };
+        let seconds = span.dur_us as f64 / 1e6;
+        match span.name.as_str() {
+            "eval.prepare" => {
+                let sim = get_f64(&span.fields, "sim_seconds_per_vector").unwrap_or(f64::NAN);
+                sim_s.insert(design, sim);
+            }
+            "eval.train" => {
+                train_s.insert(design, seconds);
+            }
+            "eval.predict_test" => {
+                let vectors = get_f64(&span.fields, "test_vectors").unwrap_or(f64::NAN);
+                let sim = sim_s.get(design).copied().unwrap_or(f64::NAN);
+                let train = train_s.get(design).copied().unwrap_or(f64::NAN);
+                rows.push((design, train, sim, seconds / vectors));
+            }
+            _ => {}
+        }
+    }
+    if !rows.is_empty() {
         let _ = writeln!(md, "## Simulate vs predict\n");
         let _ = writeln!(
             md,
             "| design | train (s) | simulate (s/vector) | predict (s/vector) | speedup |"
         );
         let _ = writeln!(md, "|---|---:|---:|---:|---:|");
-        for ev in &evaluated {
+        for (design, train, sim, predict) in rows {
             let _ = writeln!(
                 md,
-                "| {} | {} | {} | {} | {}× |",
-                ev.fields.get("design").and_then(Json::as_str).unwrap_or("?"),
-                fmt_g(get_f64(&ev.fields, "train_seconds").unwrap_or(f64::NAN)),
-                fmt_g(get_f64(&ev.fields, "sim_seconds_per_vector").unwrap_or(f64::NAN)),
-                fmt_g(get_f64(&ev.fields, "predict_seconds_per_vector").unwrap_or(f64::NAN)),
-                fmt_g(get_f64(&ev.fields, "speedup").unwrap_or(f64::NAN)),
+                "| {design} | {} | {} | {} | {}× |",
+                fmt_g(train),
+                fmt_g(sim),
+                fmt_g(predict),
+                fmt_g(sim / predict.max(1e-9)),
             );
         }
         let _ = writeln!(md);
@@ -658,7 +633,8 @@ pub fn report(
         );
 
         // Batcher efficiency: how wide batches formed and what each
-        // request paid for the coalescing.
+        // request paid for the coalescing. The width histogram counts the
+        // batches and sums the requests.
         let batchers: Vec<&str> = ["serve.predict", "serve.simulate"]
             .into_iter()
             .filter(|b| run.histograms.contains_key(&format!("{b}.batch_width")))
@@ -675,9 +651,9 @@ pub fn report(
                 let compute = run.histograms.get(&format!("{b}.batch"));
                 let _ = writeln!(
                     md,
-                    "| {b} | {} | {} | {} | {} | {} | {} | {} | {} |",
-                    run.counters.get(&format!("{b}.batches")).copied().unwrap_or(width.count),
-                    run.counters.get(&format!("{b}.requests")).copied().unwrap_or(0),
+                    "| {b} | {} | {:.0} | {} | {} | {} | {} | {} | {} |",
+                    width.count,
+                    width.sum,
                     fmt_g(width.mean()),
                     fmt_g(width.max),
                     fmt_g(queue.map_or(f64::NAN, |h| h.p50)),
@@ -803,14 +779,13 @@ mod tests {
 
     /// A hand-written sink: root `cli.simulate` span on thread 1 with two
     /// children (the repeated `train.epoch` carrying the losses), a
-    /// worker-thread span, an evaluation event, a counter and a histogram.
+    /// worker-thread span, a counter and a histogram.
     fn sample_log() -> TelemetryLog {
         let text = r#"{"ts_us":400,"kind":"span","name":"cli.stage.build_grid","span":2,"parent":1,"thread":1,"start_us":100,"dur_us":300,"ok":true}
 {"ts_us":700,"kind":"span","name":"train.epoch","span":3,"parent":1,"thread":1,"start_us":450,"dur_us":250,"ok":true,"epoch":0,"train_loss":0.5,"val_loss":0.6}
 {"ts_us":1000,"kind":"span","name":"train.epoch","span":4,"parent":1,"thread":1,"start_us":720,"dur_us":280,"ok":true,"epoch":1,"train_loss":0.25,"val_loss":0.4}
 {"ts_us":900,"kind":"span","name":"sim.wnv.run","span":5,"parent":null,"thread":2,"start_us":500,"dur_us":400,"ok":true}
 {"ts_us":1100,"kind":"span","name":"cli.simulate","span":1,"parent":null,"thread":1,"start_us":50,"dur_us":1050,"ok":true}
-{"ts_us":1107,"kind":"event","name":"eval.design.evaluated","design":"D1","train_seconds":2.0,"sim_seconds_per_vector":1.0,"predict_seconds_per_vector":0.01,"speedup":100.0}
 {"ts_us":1120,"kind":"counter","name":"sparse.cg.solves","value":42}
 {"ts_us":1120,"kind":"histogram","name":"sparse.cg.iterations_per_solve","count":42,"sum":420,"min":5,"max":20,"p50":9.5,"p95":18,"p99":19.5}
 "#;
@@ -821,7 +796,6 @@ mod tests {
     fn parses_all_record_kinds() {
         let log = sample_log();
         assert_eq!(log.spans.len(), 5);
-        assert_eq!(log.events.len(), 1);
         assert_eq!(log.counters["sparse.cg.solves"], 42);
         assert_eq!(log.histograms["sparse.cg.iterations_per_solve"].count, 42);
         // The command comes from the root `cli.*` span, not the worker's
@@ -876,7 +850,7 @@ mod tests {
                     let top = stacks.get_mut(&tid).and_then(Vec::pop).expect("E without B");
                     assert_eq!(top, name, "mismatched B/E pair on tid {tid}");
                 }
-                "M" | "i" => {}
+                "M" => {}
                 other => panic!("unexpected phase {other}"),
             }
         }
@@ -899,9 +873,6 @@ mod tests {
             "| train loss | 0.5000 | 0.2500 | 0.2500 |",
             "| val loss | 0.6000 | 0.4000 | 0.4000 |",
             "2 epochs recorded.",
-            "## Simulate vs predict",
-            "| D1 |",
-            "100.0000×",
             "ui.perfetto.dev",
         ] {
             assert!(out.markdown.contains(needle), "missing {needle:?} in:\n{}", out.markdown);
@@ -910,15 +881,38 @@ mod tests {
     }
 
     #[test]
+    fn speedup_table_joins_the_eval_spans_of_each_evaluation() {
+        // D1 evaluated twice on one preparation (as Fig 6 and the
+        // ablations do), D2 once; each `eval.predict_test` closes after
+        // its own `eval.train`.
+        let text = r#"{"ts_us":1,"kind":"span","name":"eval.prepare","span":1,"parent":null,"thread":1,"start_us":0,"dur_us":9,"ok":true,"design":"D1","vectors":10,"sim_seconds_per_vector":1.0}
+{"ts_us":2,"kind":"span","name":"eval.train","span":2,"parent":null,"thread":1,"start_us":0,"dur_us":2000000,"ok":true,"design":"D1"}
+{"ts_us":3,"kind":"span","name":"eval.predict_test","span":3,"parent":null,"thread":1,"start_us":0,"dur_us":40000,"ok":true,"design":"D1","test_vectors":4}
+{"ts_us":4,"kind":"span","name":"eval.prepare","span":4,"parent":null,"thread":1,"start_us":0,"dur_us":9,"ok":true,"design":"D2","vectors":10,"sim_seconds_per_vector":0.3}
+{"ts_us":5,"kind":"span","name":"eval.train","span":5,"parent":null,"thread":1,"start_us":0,"dur_us":1000000,"ok":true,"design":"D2"}
+{"ts_us":6,"kind":"span","name":"eval.predict_test","span":6,"parent":null,"thread":1,"start_us":0,"dur_us":30000,"ok":true,"design":"D2","test_vectors":3}
+{"ts_us":7,"kind":"span","name":"eval.train","span":7,"parent":null,"thread":1,"start_us":0,"dur_us":3000000,"ok":true,"design":"D1"}
+{"ts_us":8,"kind":"span","name":"eval.predict_test","span":8,"parent":null,"thread":1,"start_us":0,"dur_us":80000,"ok":true,"design":"D1","test_vectors":4}
+"#;
+        let out = report(&TelemetryLog::parse_str(text).unwrap(), None, &ReportOptions::default());
+        let rows = "| D1 | 2.0000 | 1.0000 | 0.0100 | 100.0000× |\n\
+                    | D2 | 1.0000 | 0.3000 | 0.0100 | 30.0000× |\n\
+                    | D1 | 3.0000 | 1.0000 | 0.0200 | 50.0000× |\n";
+        assert!(out.markdown.contains(rows), "{}", out.markdown);
+        // A sink without eval spans has no speedup table.
+        let plain = report(&sample_log(), None, &ReportOptions::default());
+        assert!(!plain.markdown.contains("## Simulate vs predict"), "{}", plain.markdown);
+    }
+
+    #[test]
     fn report_serving_section_from_serve_sink() {
         // A serve-origin sink: request/error/shed counters, one batcher's
         // width/queue histograms and its batch-span histogram, and two
         // route-span histograms with an error counter for one of them.
+        // The batches and requests come from the width histogram.
         let text = r#"{"ts_us":10,"kind":"counter","name":"serve.requests","value":12}
 {"ts_us":10,"kind":"counter","name":"serve.errors","value":2}
 {"ts_us":10,"kind":"counter","name":"serve.rejected_total","value":3}
-{"ts_us":10,"kind":"counter","name":"serve.predict.batches","value":4}
-{"ts_us":10,"kind":"counter","name":"serve.predict.requests","value":9}
 {"ts_us":10,"kind":"histogram","name":"serve.predict.batch_width","count":4,"sum":9,"min":1,"max":4,"p50":2,"p95":4,"p99":4}
 {"ts_us":10,"kind":"histogram","name":"serve.predict.queue_wait_seconds","count":9,"sum":0.09,"min":0.001,"max":0.02,"p50":0.01,"p95":0.019,"p99":0.02}
 {"ts_us":10,"kind":"histogram","name":"serve.predict.batch","count":4,"sum":0.4,"min":0.05,"max":0.2,"p50":0.1,"p95":0.19,"p99":0.2}

@@ -161,11 +161,12 @@ impl Dataset {
 
         // Train count decreases monotonically in the threshold: bisect.
         let mut lo = 0.0_f64;
-        let mut hi = (0..n.min(64))
+        let top = (0..n.min(64))
             .flat_map(|a| (0..n.min(64)).map(move |b| (a, b)))
             .map(|(a, b)| dist(a, b))
             .fold(0.0, f64::max)
             .max(1e-12);
+        let mut hi = top;
         let mut best = greedy(0.0);
         for _ in 0..40 {
             let mid = 0.5 * (lo + hi);
@@ -178,6 +179,12 @@ impl Dataset {
             } else {
                 hi = mid;
             }
+        }
+        // The bisection never tries the largest distance itself, the one
+        // threshold at which two distinct samples cannot both join.
+        let at_top = greedy(top);
+        if at_top.len().abs_diff(target) < best.len().abs_diff(target) {
+            best = at_top;
         }
         let train = best;
 
@@ -292,6 +299,14 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 12);
+    }
+
+    #[test]
+    fn two_distinct_samples_split_one_to_train_and_one_to_test() {
+        let ds = build_dataset(2);
+        assert_ne!(ds.samples[0].summary, ds.samples[1].summary, "premise: distinct samples");
+        let split = ds.split(0.6, 1);
+        assert_eq!((split.train.len(), split.val.len(), split.test.len()), (1, 0, 1), "{split:?}");
     }
 
     #[test]

@@ -195,24 +195,6 @@ fn gemm_edge<const MODE: u8>(
     }
 }
 
-/// `C[lower] -= A * Aᵀ` for column-major `A (n x k, lda)` and `C (n x n,
-/// ldc)`: the symmetric rank-k update of a diagonal block. Only the lower
-/// triangle of `C` (including the diagonal) is touched.
-pub fn syrk_ln_sub(c: &mut [f64], ldc: usize, a: &[f64], lda: usize, n: usize, k: usize) {
-    debug_assert!(ldc >= n && lda >= n);
-    for j in 0..n {
-        let cj = &mut c[j * ldc..j * ldc + n];
-        for p in 0..k {
-            let ajp = a[p * lda + j];
-            let ap = &a[p * lda..p * lda + n];
-            // Rows j..n only: the strictly-upper part is never read.
-            for (cv, &av) in cj[j..].iter_mut().zip(&ap[j..]) {
-                *cv -= av * ajp;
-            }
-        }
-    }
-}
-
 /// `X := X * L⁻ᵀ` for column-major `X (m x w, ldx)` and a lower-triangular
 /// `L (w x w)` stored in the columns of `l` with leading dimension `ldl`
 /// (only the lower triangle of `L` is read). This is the right-side
@@ -462,7 +444,7 @@ mod tests {
             let mut c = random_colmajor(&mut r, n, n, ldc);
             let orig = c.clone();
             let mut c_ref = c.clone();
-            syrk_ln_sub(&mut c, ldc, &a, lda, n, k);
+            syrk_ln_view(&mut c, ldc, 0, &a, lda, n, k);
             gemm_nt_ref(&mut c_ref, ldc, &a, lda, &a, lda, n, n, k, -1.0);
             for j in 0..n {
                 for i in j..n {

@@ -64,29 +64,27 @@ assert solves == per_solve == want, (
     f"cache smoke: sparse.cg.solves {solves} and iterations_per_solve count "
     f"{per_solve}, want both {want}")
 PYEOF
-# One timer: a span is the only record of a region's duration. Every span
-# name has exactly one histogram of that name, counting its span records,
-# and no event or hand-timed histogram repeats a span.
+# One timer: a span is the only record of a region's duration, and the
+# sink's only live record. Every span name has exactly one histogram of
+# that name, counting its span records; no event record exists, and no
+# hand-timed histogram repeats a span.
 python3 - "$t1" <<'PYEOF'
 import collections, json, sys
 spans = collections.Counter()
 hists = collections.defaultdict(list)
-events = set()
 for line in open(sys.argv[1]):
     rec = json.loads(line)
+    assert rec["kind"] != "event", f"one timer: the sink holds an event record: {line}"
     if rec["kind"] == "span":
         spans[rec["name"]] += 1
     elif rec["kind"] == "histogram":
         hists[rec["name"]].append(rec["count"])
-    elif rec["kind"] == "event":
-        events.add(rec["name"])
 assert spans, "one timer: the sink holds no span records"
 for name, n in sorted(spans.items()):
     assert hists.get(name) == [n], (
         f"one timer: span {name} has {n} records, its histograms count {hists.get(name)}")
-dup = sorted(events & {"cli.command", "cli.stage", "train.epoch"})
-assert not dup, f"one timer: events {dup} repeat span records"
-dup = sorted(set(hists) & {"sim.wnv.run_seconds", "train.epoch_seconds"})
+dup = sorted(set(hists) & {"sim.wnv.run_seconds", "train.epoch_seconds",
+                           "eval.sim_seconds_per_vector", "eval.predict_seconds_per_vector"})
 assert not dup, f"one timer: histograms {dup} repeat span durations"
 print(f"one timer: {len(spans)} span names, each with one histogram counting its records")
 PYEOF
@@ -218,7 +216,8 @@ echo "== closed stdout =="
 # A reader that stops early must end pdn quietly: no panic on the failed
 # write, and exit status 141 (128 + SIGPIPE). Under `| head -1` pdn may
 # still finish first (its lines fit the pipe), so that leg accepts 0 too;
-# the second leg closes the pipe before pdn starts.
+# the second leg closes the pipe before pdn starts. A failed command whose
+# stderr is closed must still exit 1, not panic (101) on its error line.
 pipe_status=0
 first="$(./target/release/pdn factor --design D1 --scale tiny --rhs 40 \
     2>"$cache_dir/pipe.err" | head -1)" || pipe_status=$?
@@ -237,7 +236,16 @@ for args in (["info"], ["factor", "--rhs", "40"], ["simulate", "--steps", "20"])
     os.close(write_end)
     assert p.returncode == 141 and not p.stderr, (
         f"closed stdout: pdn {args[0]} exited {p.returncode}, stderr {p.stderr.decode()!r}")
-print("closed stdout: info, factor and simulate exit 141 without a word on stderr")
+for cmd in (["./target/release/pdn", "simulate", "--design", "D1", "--steps", "0"],
+            ["./target/release/pdn", "info", "--design", "D9"],
+            ["./target/release/experiments", "--quik"]):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    p = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=write_end, timeout=60)
+    os.close(write_end)
+    assert p.returncode == 1, f"closed stderr: {' '.join(cmd[1:])} exited {p.returncode}, want 1"
+print("closed stdout: info, factor and simulate exit 141 without a word on stderr;")
+print("closed stderr: simulate --steps 0, info --design D9 and experiments --quik exit 1")
 PYEOF
 
 echo
@@ -346,7 +354,8 @@ echo "== serve smoke =="
 # Train a tiny bundle, start the daemon on an ephemeral port with an
 # access log, exercise /healthz and /predict, validate the Prometheus
 # /metrics exposition (every family typed, buckets cumulative/monotone,
-# +Inf == _count), the ?format=jsonl negotiation, /statusz, and the
+# +Inf == _count, no family repeating another's record), the
+# ?format=jsonl negotiation, /statusz against the registry, and the
 # request-ID round trip into the access log — then SIGTERM it and
 # require a clean zero exit.
 model="$cache_dir/smoke_model.pdn"
@@ -433,8 +442,14 @@ for name, line in samples:
         elif name.endswith("_count"):
             hist.setdefault(fam, {"buckets": [], "count": None})["count"] = float(payload[1])
 assert types.get("serve_requests_total") == "counter", sorted(types)
+assert types.get("serve_route_predict") == "histogram", sorted(types)
 assert types.get("serve_predict_batch_width") == "histogram", sorted(types)
-assert any(n.startswith("serve_window_predict_") for n in types), sorted(types)
+# One record per fact: no rolling-window gauges, and no counter that
+# repeats a histogram's count.
+repeats = [n for n in types if n.startswith("serve_window_")
+           or (n.startswith("serve_route_") and n.endswith("_requests_total"))
+           or n in ("serve_predict_requests_total", "serve_predict_batches_total")]
+assert not repeats, f"families that repeat another record: {repeats}"
 for fam, h in hist.items():
     les = [le for le, _ in h["buckets"]]
     counts = [v for _, v in h["buckets"]]
@@ -446,11 +461,16 @@ for fam, h in hist.items():
 jsonl = urllib.request.urlopen(base + "/metrics?format=jsonl", timeout=30).read().decode()
 for line in jsonl.splitlines():
     json.loads(line)
-assert '"serve.predict.requests"' in jsonl, jsonl[:2000]
+assert '"serve.predict.batch_width"' in jsonl, jsonl[:2000]
 
+# /statusz reads the registry: the predict route's count is the
+# serve_route_predict histogram's, and its rates run since start.
+predicts = hist["serve_route_predict"]["count"]
 statusz = json.load(urllib.request.urlopen(base + "/statusz", timeout=30))
-assert statusz["status"] == "ok" and "predict" in statusz["routes"], statusz
-assert statusz["routes"]["predict"]["count"] >= 1, statusz
+assert statusz["status"] == "ok" and "window_s" not in statusz, statusz
+route = statusz["routes"]["predict"]
+assert route["count"] == predicts >= 1 and route["p99_s"] > 0, (route, predicts)
+assert route["errors"] == 0 and route["qps"] > 0, route
 
 print(f"serve smoke: predicted a {resp['rows']}x{resp['cols']} map (request {rid}, "
       f"batch width {resp['batch_width']}), {len(hist)} histogram families valid")

@@ -85,9 +85,8 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) if e.is::<ClosedStdout>() => ExitCode::from(CLOSED_STDOUT_STATUS),
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            // Not `eprintln!`, which panics when stderr is closed.
+            let _ = writeln!(std::io::stderr(), "error: {e}\n\n{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -156,10 +155,10 @@ in --max-mb.
 requests are coalesced into one inference batch / multi-RHS transient
 group (--max-batch wide, formed within --max-wait-ms). GET /healthz for
 liveness, GET /metrics for Prometheus text (append ?format=jsonl for the
-raw registry snapshot), GET /statusz for rolling-window QPS / error-rate
-/ latency percentiles. Every response carries an x-pdn-request-id header;
---access-log FILE appends one JSON line per request with that id, the
-batch width and timings. --max-queue N sheds requests with HTTP 429 +
+raw registry snapshot), GET /statusz for each route's QPS / error rate /
+latency percentiles since start. Every response carries an
+x-pdn-request-id header; --access-log FILE appends one JSON line per
+request with that id, the batch width and timings. --max-queue N sheds requests with HTTP 429 +
 Retry-After once a batcher has N unanswered jobs. --addr defaults to
 127.0.0.1:8320; port 0 picks an ephemeral port (printed on stdout).
 SIGTERM/SIGINT shut the daemon down cleanly.

@@ -2,8 +2,9 @@
 //! HTTP/1.1, concurrent clients. The central claim is the bitwise one —
 //! answers served through the batching daemon are identical to offline
 //! [`Predictor::predict`] calls, even when requests coalesce into
-//! multi-map batches — plus liveness (/healthz, /metrics), the simulate
-//! path, error statuses, and the fail-fast bundle check.
+//! multi-map batches — plus liveness (/healthz, /metrics, /statusz, all
+//! read from the process's one telemetry registry), the simulate path,
+//! error statuses, and the fail-fast bundle check.
 
 use pdn_wnv::compress::temporal::TemporalCompressor;
 use pdn_wnv::eval::jsonl;
@@ -19,7 +20,7 @@ use pdn_wnv::vectors::generator::{GeneratorConfig, VectorGenerator};
 use pdn_wnv::vectors::vector::TestVector;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 fn tiny_grid() -> PowerGrid {
@@ -106,6 +107,24 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String
     (status, body)
 }
 
+/// Every server in this binary counts into the process's one telemetry
+/// registry. The tests whose requests are answered with an error status
+/// hold this lock, so each can count exactly the errors it adds.
+fn provoking_errors() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The value of a counter in the `/metrics` Prometheus text, 0 when the
+/// counter does not exist yet.
+fn scraped_counter(addr: SocketAddr, name: &str) -> u64 {
+    let (status, body) = http(addr, "GET", "/metrics", b"");
+    assert_eq!(status, 200, "{body}");
+    body.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
 fn csv_bytes(vector: &TestVector) -> Vec<u8> {
     let mut out = Vec::new();
     pdn_wnv::vectors::io::write_csv(vector, &mut out).unwrap();
@@ -171,11 +190,7 @@ fn concurrent_predicts_are_bitwise_identical_to_offline_and_coalesce() {
                 assert_eq!(g.to_bits(), w.to_bits(), "served value differs from offline predict");
             }
         }
-        if server.stats().predict.max_width() > 1 {
-            assert!(
-                answers.iter().any(|(_, w)| *w > 1),
-                "a multi-request batch must be visible in some response"
-            );
+        if answers.iter().any(|(_, width)| *width > 1) {
             server.shutdown();
             return;
         }
@@ -209,6 +224,7 @@ fn simulate_endpoint_matches_offline_runner_bitwise() {
 
 #[test]
 fn health_metrics_and_error_statuses() {
+    let _errors = provoking_errors();
     let grid = tiny_grid();
     let loads = grid.loads().len();
     let predictor = fixture_predictor(&grid, 2);
@@ -243,11 +259,15 @@ fn health_metrics_and_error_statuses() {
     assert!(body.contains("# TYPE serve_in_flight gauge"), "{body}");
     assert!(body.contains("# TYPE serve_predict_batch_width histogram"), "{body}");
     assert!(body.contains("serve_predict_batch_width_bucket{le=\"+Inf\"}"), "{body}");
-    assert!(body.contains("serve_window_predict_p99_seconds"), "{body}");
     // Request latency is the route span's histogram, under the span's name.
     assert!(body.contains("# TYPE serve_route_predict histogram"), "{body}");
     assert!(body.contains("# TYPE serve_predict_batch histogram"), "{body}");
     assert!(!body.contains("latency_seconds") && !body.contains("compute_seconds"), "{body}");
+    // One record per fact: no window gauges, and no counter repeating a
+    // histogram's count.
+    for repeat in ["serve_window_", "serve_route_predict_requests", "serve_predict_requests"] {
+        assert!(!body.contains(repeat), "{repeat} in {body}");
+    }
     assert!(!body.contains("\"kind\""), "Prometheus text must not be JSONL: {body}");
 
     // The raw registry snapshot stays reachable via content negotiation.
@@ -267,14 +287,14 @@ fn health_metrics_and_error_statuses() {
         assert!(body.contains("serve.started"), "{body}");
     }
 
-    // /statusz summarizes the rolling windows as one JSON object.
+    // /statusz summarizes each route's span histogram as one JSON object.
     let (status, body) = http(addr, "GET", "/statusz", b"");
     assert_eq!(status, 200);
     let statusz = jsonl::parse(&body).unwrap_or_else(|e| panic!("bad statusz {body:?}: {e}"));
     assert_eq!(statusz.get("status").unwrap().as_str(), Some("ok"));
-    assert_eq!(statusz.get("window_s").unwrap().as_u64(), Some(60));
+    assert!(statusz.get("window_s").is_none(), "{body}");
     let routes = statusz.get("routes").expect("routes object");
-    let predict = routes.get("predict").expect("predict route window");
+    let predict = routes.get("predict").expect("predict route");
     assert!(predict.get("count").unwrap().as_u64().unwrap() >= 1, "{body}");
     assert!(predict.get("p99_s").unwrap().as_f64().unwrap() > 0.0, "{body}");
 
@@ -291,12 +311,16 @@ fn health_metrics_and_error_statuses() {
     let (status, body) = http(addr, "POST", "/predict", wrong);
     assert_eq!(status, 400, "{body}");
 
-    assert!(server.stats().errors.load(std::sync::atomic::Ordering::Relaxed) >= 4);
+    // /healthz reads the process registry's counters.
+    let (_, body) = http(addr, "GET", "/healthz", b"");
+    let errors = jsonl::parse(&body).unwrap().get("errors").unwrap().as_u64().unwrap();
+    assert!(errors >= 4, "{body}");
     server.shutdown();
 }
 
 #[test]
 fn a_truncated_body_is_answered_400_and_the_worker_serves_on() {
+    let _errors = provoking_errors();
     let grid = tiny_grid();
     let predictor = fixture_predictor(&grid, 3);
     let runner = WnvRunner::new(&grid).unwrap();
@@ -305,6 +329,7 @@ fn a_truncated_body_is_answered_400_and_the_worker_serves_on() {
     let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), workers: 1, ..ServeConfig::default() };
     let server = serve::serve(&cfg, "D1-tiny", grid, predictor, runner, None).unwrap();
     let addr = server.local_addr();
+    let errors_before = scraped_counter(addr, "serve_errors_total");
 
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -314,6 +339,10 @@ fn a_truncated_body_is_answered_400_and_the_worker_serves_on() {
     stream.read_to_string(&mut raw).expect("read response");
     assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
     assert!(raw.contains("after 9 of 1000 body bytes"), "{raw}");
+    // A request the parser refuses is an error like any other 400.
+    let errors_after = scraped_counter(addr, "serve_errors_total");
+    let counted = errors_after - errors_before;
+    assert_eq!(counted, 1, "serve_errors_total {errors_before} -> {errors_after}");
 
     let (status, body) = http(addr, "GET", "/healthz", b"");
     assert_eq!(status, 200, "{body}");
@@ -322,6 +351,7 @@ fn a_truncated_body_is_answered_400_and_the_worker_serves_on() {
 
 #[test]
 fn a_non_finite_sample_is_a_client_error_and_predict_stays_up() {
+    let _errors = provoking_errors();
     // A bundle with a temporal compressor, as `pdn train` writes: a NaN
     // sample that reached its sort would take the predict batcher down.
     let grid = tiny_grid();
@@ -435,6 +465,7 @@ fn request_ids_round_trip_through_header_json_and_access_log() {
 
 #[test]
 fn max_queue_sheds_load_with_429_and_retry_after() {
+    let _errors = provoking_errors();
     let grid = tiny_grid();
     let predictor = fixture_predictor(&grid, 8);
     let runner = WnvRunner::new(&grid).unwrap();

@@ -29,7 +29,6 @@ fn disabled_telemetry_is_a_complete_no_op() {
     telemetry::counter_add("it.counter", 3);
     telemetry::gauge_set("it.gauge", 1.5);
     telemetry::observe("it.histogram", 0.25);
-    telemetry::event("it.event", &[("k", 1u64.into())]);
     {
         let _span = telemetry::span("it.span");
     }
@@ -121,7 +120,11 @@ fn jsonl_sink_emits_one_well_formed_record_per_line() {
     let _ = std::fs::remove_file(&path);
     telemetry::enable_with_sink(&path).expect("sink file");
 
-    telemetry::event("it.run", &[("design", "D1".into()), ("vectors", 4u64.into())]);
+    {
+        let mut span = telemetry::span("it.run");
+        span.field("design", "D1");
+        span.field("vectors", 4u64);
+    }
     telemetry::counter_add("it.solves", 7);
     telemetry::gauge_set("it.lr", 2.5e-3);
     telemetry::observe("it.residual", 1e-9);
@@ -134,8 +137,9 @@ fn jsonl_sink_emits_one_well_formed_record_per_line() {
     let _ = std::fs::remove_file(&path);
 
     let lines: Vec<&str> = text.lines().collect();
-    // 1 event + summary records for 1 counter, 1 gauge, 1 histogram.
-    assert_eq!(lines.len(), 4, "sink contents:\n{text}");
+    // 1 span + summary records for 1 counter, 1 gauge and 2 histograms
+    // (the span's own and `it.residual`).
+    assert_eq!(lines.len(), 5, "sink contents:\n{text}");
     for line in &lines {
         // Schema invariants every consumer relies on: one JSON object per
         // line, leading ts_us, a kind tag, and a name.
@@ -145,7 +149,7 @@ fn jsonl_sink_emits_one_well_formed_record_per_line() {
         assert!(line.contains("\"name\":\""), "bad line: {line}");
         assert!(!line.contains("NaN"), "bare NaN leaked into JSON: {line}");
     }
-    assert!(lines[0].contains("\"kind\":\"event\"") && lines[0].contains("\"design\":\"D1\""));
+    assert!(lines[0].contains("\"kind\":\"span\"") && lines[0].contains("\"design\":\"D1\""));
     assert!(text.contains("\"kind\":\"counter\"") && text.contains("\"value\":7"));
     assert!(text.contains("\"kind\":\"gauge\""));
     assert!(text.contains("\"kind\":\"histogram\"") && text.contains("\"count\":2"));
@@ -159,11 +163,12 @@ fn jsonl_sink_lines_never_tear_under_concurrent_writers() {
     let _ = std::fs::remove_file(&path);
     telemetry::enable_with_sink(&path).expect("sink file");
 
-    // Hammer the sink from many threads at once with every record shape a
-    // server produces: events with string payloads (the worst case for
-    // interleaving — long, variable-length lines) and field-carrying spans.
-    // The serve daemon writes from request workers and batcher threads
-    // concurrently, so a torn line here would corrupt real traces.
+    // Hammer the sink from many threads at once with the live record a
+    // server produces: spans carrying string payloads (the worst case for
+    // interleaving — long, variable-length lines) among counter and
+    // histogram updates. The serve daemon writes from request workers and
+    // batcher threads concurrently, so a torn line here would corrupt
+    // real traces.
     const THREADS: usize = 8;
     const PER_THREAD: usize = 250;
     let barrier = std::sync::Barrier::new(THREADS);
@@ -174,14 +179,10 @@ fn jsonl_sink_lines_never_tear_under_concurrent_writers() {
                 barrier.wait();
                 let payload = format!("thread-{t}-{}", "x".repeat(40 + t * 17));
                 for i in 0..PER_THREAD {
-                    telemetry::event(
-                        "mt.event",
-                        &[("thread", (t as u64).into()), ("i", (i as u64).into()),
-                          ("payload", payload.as_str().into())],
-                    );
                     let mut span = telemetry::span("mt.span");
-                    span.field("thread", t as u64);
+                    span.field("worker", t as u64);
                     span.field("i", i as u64);
+                    span.field("payload", payload.as_str());
                     telemetry::counter_add("mt.counter", 1);
                     telemetry::observe("mt.histogram", i as f64);
                 }
@@ -197,27 +198,21 @@ fn jsonl_sink_lines_never_tear_under_concurrent_writers() {
 
     // Every single line must be a complete, standalone JSON object — the
     // parser rejects torn or interleaved fragments outright.
-    let mut events = 0usize;
     let mut spans = 0usize;
     for line in text.lines() {
         let parsed = pdn_wnv::eval::jsonl::parse(line)
             .unwrap_or_else(|e| panic!("torn or malformed sink line {line:?}: {e}"));
         assert!(parsed.get("ts_us").is_some(), "missing ts_us: {line}");
-        match parsed.get("kind").and_then(|k| k.as_str()) {
-            Some("event") if parsed.get("name").unwrap().as_str() == Some("mt.event") => {
-                assert!(
-                    parsed.get("payload").unwrap().as_str().unwrap().starts_with("thread-"),
-                    "event payload torn: {line}"
-                );
-                events += 1;
-            }
-            Some("span") if parsed.get("name").unwrap().as_str() == Some("mt.span") => {
-                spans += 1;
-            }
-            _ => {}
+        if parsed.get("kind").and_then(|k| k.as_str()) == Some("span")
+            && parsed.get("name").unwrap().as_str() == Some("mt.span")
+        {
+            let worker = parsed.get("worker").unwrap().as_u64().unwrap() as usize;
+            let payload = parsed.get("payload").unwrap().as_str().unwrap();
+            let want = format!("thread-{worker}-{}", "x".repeat(40 + worker * 17));
+            assert_eq!(payload, want, "span payload torn: {line}");
+            spans += 1;
         }
     }
-    assert_eq!(events, THREADS * PER_THREAD, "every event line intact and present");
     assert_eq!(spans, THREADS * PER_THREAD, "every span line intact and present");
     assert!(
         text.contains("\"name\":\"mt.counter\"") && text.contains("\"value\":2000"),
